@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from ._fileio import atomic_write_text, csv_text, json_text, resolve_out_dir
-from .errors import ConfigError, DataError, NumericalError, ParameterError
+from .errors import (ConfigError, DataError, InvalidStateError, NumericalError,
+                     ParameterError)
 from .fitting import (DEFAULT_HORIZON_DAYS, counterfactual_runs,
                       estimate_params, normalize)
 from .ingest import (build_observed, load_populations, parse_event_counts,
@@ -53,12 +54,22 @@ def _peak_dict(stats) -> dict:
             "peak_time": stats.peak_time}
 
 
+def _initial_state(s: float, i_e: float, i_x: float, r: float) -> CompartmentState:
+    """The initial state the flags describe; an invalid one is a usage error."""
+    state = CompartmentState(s=s, i_e=i_e, i_x=i_x, r=r)
+    try:
+        state.validate()
+    except InvalidStateError as exc:
+        raise ParameterError(f"invalid initial state: {exc}") from None
+    return state
+
+
 def cmd_simulate(args) -> int:
     out = resolve_out_dir(args.out)
     if args.model == "exo":
         params = ModelParams(beta_x=args.beta_x, beta_e=args.beta_e, gamma=args.gamma)
         s0 = args.s0 if args.s0 is not None else 1.0 - args.ie0 - args.ix0 - args.r0
-        initial = CompartmentState(s=s0, i_e=args.ie0, i_x=args.ix0, r=args.r0)
+        initial = _initial_state(s0, args.ie0, args.ix0, args.r0)
         traj = integrate(exo_sir_rhs, initial, params, args.dt, args.steps)
         rows = zip(traj.times, traj.s, traj.i_e, traj.i_x, traj.r)
         _write(os.path.join(out, "trajectory.csv"),
@@ -68,6 +79,7 @@ def cmd_simulate(args) -> int:
         peaks = {name: _peak_dict(peak_of(traj, name)) for name in ("i_e", "i_x", "i")}
     else:
         s0 = args.s0 if args.s0 is not None else 1.0 - args.i0 - args.r0
+        _initial_state(s0, args.i0, 0.0, args.r0)  # SIR is the exo state with i_x = 0
         traj = integrate_sir((s0, args.i0, args.r0), (args.beta_e, args.gamma),
                              args.dt, args.steps)
         rows = zip(traj.times, traj.s, traj.i, traj.r)
@@ -118,22 +130,28 @@ def _note(report, source: str) -> None:
         print(f"warning: {source}: {message}", file=sys.stderr)
 
 
+def _parse_file(path: str, parser, *args):
+    """Run parser on the UTF-8 text file at path; undecodable bytes are a data error."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return parser(fh, *args)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def cmd_fit(args) -> int:
     out = resolve_out_dir(args.out)
     state = args.state.lower()
     populations = load_populations(args.pop_config)
     if state not in populations:
         raise ConfigError(f"state {state!r} missing from population config {args.pop_config}")
-    with open(args.raw, encoding="utf-8-sig", newline="") as fh:
-        records, raw_report = parse_raw_cases(fh)
+    records, raw_report = _parse_file(args.raw, parse_raw_cases)
     _note(raw_report, "raw cases")
-    with open(args.daily, encoding="utf-8-sig", newline="") as fh:
-        daily, daily_report = parse_states_daily(fh, (state,))
+    daily, daily_report = _parse_file(args.daily, parse_states_daily, (state,))
     _note(daily_report, "daily series")
     events = {}
     if args.events:
-        with open(args.events, encoding="utf-8-sig", newline="") as fh:
-            events, event_report = parse_event_counts(fh)
+        events, event_report = _parse_file(args.events, parse_event_counts)
         _note(event_report, "events")
     series, build_report = build_observed(records, daily, events, state,
                                           populations[state])

@@ -167,7 +167,6 @@ def parse_states_daily(stream, state_codes, date_fallbacks=DEFAULT_DATE_FALLBACK
             continue
         if (date, status) in seen:
             raise DuplicateDateError(f"duplicate rows for date {date}, status {status!r}")
-        seen.add((date, status))
         try:
             counts = {code: int((row.get(cols[code]) or "0").strip() or "0")
                       for code in state_codes}
@@ -177,6 +176,7 @@ def parse_states_daily(stream, state_codes, date_fallbacks=DEFAULT_DATE_FALLBACK
         if any(v < 0 for v in counts.values()):
             report.reject(row_number, "negative count")
             continue
+        seen.add((date, status))
         for code in state_codes:
             table[code].setdefault(date, {})[status] = counts[code]
     for code in state_codes:
@@ -348,7 +348,7 @@ def load_populations(path) -> dict[str, int]:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read population config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"population config must be a JSON object, got {type(data).__name__}")

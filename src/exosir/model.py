@@ -146,6 +146,12 @@ def sir_rhs(state: tuple[float, float, float], params: tuple[float, float]) -> t
     return (-beta * s * i, beta * s * i - gamma * i, gamma * i)
 
 
+def check_step_size(dt: float) -> None:
+    """Raise ParameterError unless dt is a finite positive step (NaN fails too)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ParameterError(f"dt must be finite and positive, got {dt!r}")
+
+
 def _check_step(values, step: int):
     """Conservation and bounds checks for one integrated step; returns clamped values."""
     total = 0.0
@@ -177,8 +183,7 @@ def integrate(rhs, initial: CompartmentState, params: ModelParams,
     undershoot below 0 or overshoot above 1 is clamped only within 1e-12,
     anything worse raises IntegrationError with the step index.
     """
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt!r}")
+    check_step_size(dt)
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps!r}")
     initial.validate()
@@ -221,8 +226,7 @@ def integrate(rhs, initial: CompartmentState, params: ModelParams,
 def integrate_sir(initial: tuple[float, float, float], params: tuple[float, float],
                   dt: float, n_steps: int, t0: float = 0.0) -> SirTrajectory:
     """Integrate classic SIR with the same RK4 stepping and checks as integrate()."""
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt!r}")
+    check_step_size(dt)
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps!r}")
     beta, gamma = params

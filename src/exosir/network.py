@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,11 @@ class NodeStatus(IntEnum):
     RECOVERED = 3
 
 
+# Plain-int copies for the per-tick loops, where looking up an enum member
+# costs more than the array comparison it feeds.
+_S, _IE, _IX, _R = (int(status) for status in NodeStatus)
+
+
 @dataclass(frozen=True)
 class ContactGraph:
     """Undirected graph as per-node sorted neighbor lists."""
@@ -43,10 +49,29 @@ class ContactGraph:
         return len(self.neighbors[node])
 
     def adjacency_matrix(self) -> np.ndarray:
+        """Dense boolean n x n adjacency; a reference only, O(n^2) memory."""
         adj = np.zeros((self.n, self.n), dtype=bool)
         for node, nbrs in enumerate(self.neighbors):
             adj[node, list(nbrs)] = True
         return adj
+
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, neighbor) index pairs, one per directed edge, in neighbor-list order."""
+        owner = np.repeat(np.arange(self.n), [len(nb) for nb in self.neighbors])
+        neighbor = np.fromiter(itertools.chain.from_iterable(self.neighbors),
+                               dtype=np.intp, count=owner.size)
+        return owner, neighbor
+
+    def any_neighbor(self, mask: np.ndarray) -> np.ndarray:
+        """True at each node with at least one neighbor set in the boolean mask.
+
+        Equal to adjacency_matrix() @ mask, in O(edges) time and memory.
+        """
+        owner, neighbor = self._edge_arrays
+        out = np.zeros(self.n, dtype=bool)
+        out[owner[mask[neighbor]]] = True
+        return out
 
 
 @dataclass(frozen=True)
@@ -79,6 +104,35 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _require_probabilities(params: ModelParams) -> None:
+    """Rates above 1 are not probabilities; ModelParams rejects those below 0."""
+    for name in ("beta_x", "beta_e", "gamma"):
+        value = getattr(params, name)
+        if value > 1.0:
+            raise ParameterError(f"{name} is a per-tick probability and must lie in "
+                                 f"[0, 1], got {value!r}")
+
+
+def _choose_distinct(rng: np.random.Generator, p: np.ndarray, size: int) -> list[int]:
+    """size distinct indices of p, drawn with probabilities p; p is overwritten.
+
+    numpy's algorithm for rng.choice(len(p), size, replace=False, p=p), written
+    out without its validation and np.unique: it consumes the same uniforms and
+    returns the same indices in the same order.
+    """
+    found: list[int] = []
+    while len(found) < size:
+        x = rng.random((size - len(found),))
+        if found:
+            p[found] = 0.0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        for t in cdf.searchsorted(x, side="right").tolist():
+            if t not in found:
+                found.append(t)
+    return found
+
+
 def generate_ba_graph(n: int, m: int, seed) -> ContactGraph:
     """Preferential-attachment graph grown from a complete graph on m+1 nodes.
 
@@ -92,22 +146,22 @@ def generate_ba_graph(n: int, m: int, seed) -> ContactGraph:
         raise ParameterError(f"n must exceed m, got n={n!r}, m={m!r}")
     rng = _as_rng(seed)
     neighbors = [set() for _ in range(n)]
-    degrees = np.zeros(n, dtype=np.int64)
+    # Whole numbers held as floats: exact, and the division below needs no cast.
+    degrees = np.zeros(n)
     for a in range(m + 1):
         for b in range(a + 1, m + 1):
             neighbors[a].add(b)
             neighbors[b].add(a)
             degrees[a] += 1
             degrees[b] += 1
+    total_degree = m * (m + 1)
     for new in range(m + 1, n):
-        weights = degrees[:new] / degrees[:new].sum()
-        targets = rng.choice(new, size=m, replace=False, p=weights)
-        for t in targets:
-            t = int(t)
+        for t in _choose_distinct(rng, degrees[:new] / total_degree, m):
             neighbors[new].add(t)
             neighbors[t].add(new)
             degrees[new] += 1
             degrees[t] += 1
+        total_degree += 2 * m
     graph = ContactGraph(n=n, neighbors=tuple(tuple(sorted(nb)) for nb in neighbors))
     expected_edges = m * (m + 1) // 2 + (n - m - 1) * m
     assert graph.edge_count() == expected_edges
@@ -115,18 +169,21 @@ def generate_ba_graph(n: int, m: int, seed) -> ContactGraph:
 
 
 def step(graph: ContactGraph, statuses: np.ndarray, params: ModelParams,
-         rng: np.random.Generator, adjacency: np.ndarray | None = None) -> np.ndarray:
+         rng: np.random.Generator) -> np.ndarray:
     """One synchronous update; returns a new status array.
 
     Consumes exactly three uniform draws per node per tick (exogenous,
     endogenous, recovery, in that order) so runs are reproducible.
+
+    Known defect, kept so results stay reproducible: k is 1 when a node has
+    any infected neighbor and 0 otherwise, not the number of infected
+    neighbors.
     """
     if statuses.shape != (graph.n,):
         raise ParameterError(f"statuses must have shape ({graph.n},), got {statuses.shape}")
-    adj = graph.adjacency_matrix() if adjacency is None else adjacency
-    infected = (statuses == NodeStatus.INFECTED_ENDO) | (statuses == NodeStatus.INFECTED_EXO)
-    susceptible = statuses == NodeStatus.SUSCEPTIBLE
-    k = adj @ infected
+    infected = (statuses == _IE) | (statuses == _IX)
+    susceptible = statuses == _S
+    k = graph.any_neighbor(infected)
     u_exo = rng.random(graph.n)
     u_endo = rng.random(graph.n)
     u_rec = rng.random(graph.n)
@@ -135,9 +192,9 @@ def step(graph: ContactGraph, statuses: np.ndarray, params: ModelParams,
     endo_hit = susceptible & ~exo_hit & (u_endo < p_endo)
     recovered = infected & (u_rec < params.gamma)
     out = statuses.copy()
-    out[exo_hit] = NodeStatus.INFECTED_EXO
-    out[endo_hit] = NodeStatus.INFECTED_ENDO
-    out[recovered] = NodeStatus.RECOVERED
+    out[exo_hit] = _IX
+    out[endo_hit] = _IE
+    out[recovered] = _R
     return out
 
 
@@ -147,7 +204,9 @@ def run_simulation(graph: ContactGraph, params: ModelParams, rng: np.random.Gene
     """Simulate until no infected nodes remain (checked from tick 1) or max_ticks.
 
     The default start is all-susceptible; the exogenous channel seeds the run.
+    The rates are per-tick probabilities and must lie in [0, 1].
     """
+    _require_probabilities(params)
     if max_ticks < 1:
         raise ParameterError(f"max_ticks must be >= 1, got {max_ticks!r}")
     if initial_statuses is None:
@@ -156,13 +215,12 @@ def run_simulation(graph: ContactGraph, params: ModelParams, rng: np.random.Gene
         statuses = np.asarray(initial_statuses, dtype=np.int8).copy()
         if statuses.shape != (graph.n,):
             raise ParameterError(f"initial_statuses must have shape ({graph.n},)")
-    adj = graph.adjacency_matrix()
-    endo = [int((statuses == NodeStatus.INFECTED_ENDO).sum())]
-    exo = [int((statuses == NodeStatus.INFECTED_EXO).sum())]
+    endo = [np.count_nonzero(statuses == _IE)]
+    exo = [np.count_nonzero(statuses == _IX)]
     for _ in range(max_ticks):
-        statuses = step(graph, statuses, params, rng, adjacency=adj)
-        n_endo = int((statuses == NodeStatus.INFECTED_ENDO).sum())
-        n_exo = int((statuses == NodeStatus.INFECTED_EXO).sum())
+        statuses = step(graph, statuses, params, rng)
+        n_endo = np.count_nonzero(statuses == _IE)
+        n_exo = np.count_nonzero(statuses == _IX)
         endo.append(n_endo)
         exo.append(n_exo)
         if n_endo + n_exo == 0:
@@ -191,10 +249,12 @@ def run_experiment(base_seed: int, reps: int = 50, n: int = 150, m: int = 1,
     """
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps!r}")
+    grid = [ModelParams(beta_x=bx, beta_e=be, gamma=g)
+            for bx, be, g in itertools.product(beta_x_axis, beta_e_axis, gamma_axis)]
+    for params in grid:
+        _require_probabilities(params)
     summaries = []
-    combos = list(itertools.product(beta_x_axis, beta_e_axis, gamma_axis))
-    for ci, (bx, be, g) in enumerate(combos):
-        params = ModelParams(beta_x=bx, beta_e=be, gamma=g)
+    for ci, params in enumerate(grid):
         ev = np.empty(reps)
         et = np.empty(reps)
         xv = np.empty(reps)
@@ -208,7 +268,7 @@ def run_experiment(base_seed: int, reps: int = 50, n: int = 150, m: int = 1,
             xv[rep] = outcome.exo_peak.peak_value
             xt[rep] = outcome.exo_peak.peak_tick
         summaries.append(CombinationSummary(
-            beta_x=bx, beta_e=be, gamma=g,
+            beta_x=params.beta_x, beta_e=params.beta_e, gamma=params.gamma,
             mean_endo_peak_value=float(ev.mean()), mean_endo_peak_tick=float(et.mean()),
             mean_exo_peak_value=float(xv.mean()), mean_exo_peak_tick=float(xt.mean()),
             reps=reps,

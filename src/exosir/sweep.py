@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
+from .model import check_step_size
 from .regression import RegressionReport, fit_linear
 
 SWEEP_INITIAL = (0.999996, 1e-6, 3e-6, 0.0)
@@ -132,6 +133,7 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
     triples = np.asarray(triples, dtype=float)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ParameterError(f"triples must have shape (n, 3), got {triples.shape}")
+    check_step_size(dt)
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon!r}")
     count = triples.shape[0]

@@ -1,11 +1,15 @@
 """End-to-end command behavior: exit codes, artifacts, and determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exosir.cli import main
 
@@ -64,10 +68,26 @@ def test_parameter_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_invalid_state_exits_3(tmp_path, capsys):
-    code = main(["simulate", "--ie0", "-0.5", "--out", str(tmp_path)])
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("flags", [
+    ["--ie0", "-0.5"],
+    ["--ie0", "0.5", "--ix0", "0.6"],  # every flag in range, the implied s0 is not
+    ["--model", "sir", "--i0", "1.5"],
+])
+def test_invalid_initial_state_exits_1(tmp_path, capsys, flags):
+    # the state comes from the flags, so it is a usage error, not a numerical one
+    code = main(["simulate", *flags, "--out", str(tmp_path)])
+    assert code == 1
+    assert "invalid initial state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dt", "nan"],
+    ["simulate", "--model", "sir", "--dt", "inf"],
+    ["sweep", "--k", "2", "--dt", "nan"],
+])
+def test_nonfinite_dt_exits_1(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert "dt must be finite and positive" in capsys.readouterr().err
 
 
 def test_numerical_error_exits_3(tmp_path, capsys):
@@ -122,6 +142,17 @@ def test_network_summary_and_determinism(tmp_path):
     assert (dirs[0] / "summary.csv").read_bytes() == (dirs[1] / "summary.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--beta-x", "2", "--beta-e", "1.5", "--gamma", "0.5"],
+    ["--beta-x", "0.1", "--beta-e", "0.5,1.0001", "--gamma", "0.5"],
+])
+def test_network_probabilities_outside_unit_interval_exit_1(tmp_path, capsys, flags):
+    code = main(["network", *flags, "--reps", "1", "--n", "10", "--out", str(tmp_path)])
+    assert code == 1
+    assert "[0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_sweep_artifacts_and_determinism(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
@@ -157,6 +188,22 @@ def test_fit_on_bundled_data(tmp_path, capsys):
     header, rows = _read_csv(tmp_path / "with_ix.csv")
     assert header == ["t", "i_e"] and rows
     assert (tmp_path / "without_ix.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["raw", "daily", "pop"])
+def test_fit_non_utf8_input_exits_2(tmp_path, capsys, bad):
+    paths = {"raw": DATA / "raw_cases.csv", "daily": DATA / "states_daily.csv",
+             "pop": DATA / "populations.json"}
+    paths[bad] = tmp_path / f"{bad}.bin"
+    paths[bad].write_bytes(b"\xff\xfe\x00garbage\n")
+    code = main(["fit", "--raw", str(paths["raw"]), "--daily", str(paths["daily"]),
+                 "--state", "kl", "--pop-config", str(paths["pop"]),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(paths[bad]) in errors[0]
+    assert "Traceback" not in err
 
 
 def test_fit_without_events_flag(tmp_path):
@@ -198,3 +245,42 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+_NUMBERS = st.one_of(st.floats(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 1e300]))
+
+
+def _flag_argv(flags: dict) -> list[str]:
+    # --flag=value keeps argparse from reading "-inf" or "-1.0" as an option
+    return [f"{flag}={value!r}" for flag, value in flags.items()]
+
+
+def _exit_code(argv: list[str]) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["exo", "sir"]),
+       flags=st.dictionaries(st.sampled_from(["--beta-x", "--beta-e", "--gamma", "--dt",
+                                              "--s0", "--ie0", "--ix0", "--i0", "--r0"]),
+                             _NUMBERS, max_size=4))
+def test_simulate_numeric_flags_never_escape(tmp_path_factory, model, flags):
+    out = tmp_path_factory.mktemp("simulate")
+    argv = ["simulate", "--model", model, "--steps", "20", *_flag_argv(flags),
+            "--out", str(out)]
+    assert _exit_code(argv) in {0, 1, 2, 3}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(flags=st.dictionaries(st.sampled_from(["--beta-x", "--beta-e", "--gamma"]),
+                             _NUMBERS, min_size=1))
+def test_network_numeric_flags_never_escape(tmp_path_factory, flags):
+    out = tmp_path_factory.mktemp("network")
+    argv = ["network", "--reps", "1", "--n", "12", "--max-ticks", "20",
+            "--beta-x=0.1", "--beta-e=0.5", "--gamma=0.5", *_flag_argv(flags),
+            "--out", str(out)]
+    assert _exit_code(argv) in {0, 1, 2, 3}

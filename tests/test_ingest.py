@@ -94,6 +94,21 @@ def test_parse_states_daily_duplicate_raises():
         parse_states_daily(io.StringIO(text), ("kl",))
 
 
+def test_parse_states_daily_rejected_row_leaves_pair_free():
+    # a rejected row is not a reading, so a later valid row for the same
+    # (date, status) is its first occurrence, not a duplicate
+    text = (
+        "date,status,kl\n"
+        "2020-03-01,Confirmed,x\n"
+        "2020-03-01,Confirmed,5\n"
+        "2020-03-01,Recovered,-1\n"
+        "2020-03-01,Recovered,2\n"
+    )
+    table, report = parse_states_daily(io.StringIO(text), ("kl",))
+    assert table["kl"][dt.date(2020, 3, 1)] == {"confirmed": 5, "recovered": 2, "deceased": 0}
+    assert [row for row, _ in report.rejects] == [2, 4]
+
+
 def test_parse_states_daily_negative_rejected():
     text = "date,status,kl\n2020-03-01,Confirmed,-4\n"
     table, report = parse_states_daily(io.StringIO(text), ("kl",))

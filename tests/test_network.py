@@ -52,6 +52,37 @@ def test_ba_graph_is_simple_symmetric_connected():
     assert len(seen) == graph.n
 
 
+def _reference_neighbors(n, m, rng):
+    """Neighbor lists grown with rng.choice, the sampler the generator must match."""
+    neighbors = [set() for _ in range(n)]
+    degrees = np.zeros(n, dtype=np.int64)
+    for a in range(m + 1):
+        for b in range(a + 1, m + 1):
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+            degrees[a] += 1
+            degrees[b] += 1
+    for new in range(m + 1, n):
+        weights = degrees[:new] / degrees[:new].sum()
+        for t in rng.choice(new, size=m, replace=False, p=weights):
+            neighbors[new].add(int(t))
+            neighbors[int(t)].add(new)
+            degrees[new] += 1
+            degrees[t] += 1
+    return tuple(tuple(sorted(nb)) for nb in neighbors)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ba_sampler_matches_numpy_choice(m):
+    # same graphs and the same generator state afterwards, so every later
+    # draw of a run is unchanged too; small n makes repeated draws common
+    for seed in range(600):
+        n = m + 2 + seed % 17
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert generate_ba_graph(n, m, ours).neighbors == _reference_neighbors(n, m, reference)
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
 def test_ba_degree_distribution_heavy_tailed():
     # preferential attachment keeps most nodes at the minimum degree while a
     # few hubs absorb the rest
@@ -99,6 +130,19 @@ def test_step_isolated_node_never_infected():
         assert statuses[0] == S
 
 
+def test_any_neighbor_matches_dense_adjacency():
+    rng = np.random.default_rng(11)
+    graphs = [ContactGraph(n=3, neighbors=((), (2,), (1,))),
+              generate_ba_graph(60, 1, seed=12), generate_ba_graph(60, 3, seed=13)]
+    for graph in graphs:
+        adj = graph.adjacency_matrix()
+        for _ in range(50):
+            infected = rng.random(graph.n) < rng.random()
+            flags = graph.any_neighbor(infected)
+            assert flags.dtype == bool
+            np.testing.assert_array_equal(flags, adj @ infected)
+
+
 def test_step_newly_infected_do_not_recover_same_tick():
     graph = generate_ba_graph(25, 1, seed=6)
     statuses = np.full(25, S, dtype=np.int8)
@@ -128,11 +172,10 @@ def test_run_simulation_counts_and_monotonicity():
     rng = np.random.default_rng(5)
     params = ModelParams(beta_x=0.1, beta_e=0.5, gamma=0.3)
     statuses = np.full(100, S, dtype=np.int8)
-    adj = graph.adjacency_matrix()
     susceptible_prev = 100
     recovered_prev = 0
     for _ in range(150):
-        statuses = step(graph, statuses, params, rng, adjacency=adj)
+        statuses = step(graph, statuses, params, rng)
         counts = {status: int((statuses == status).sum()) for status in (S, IE, IX, R)}
         assert sum(counts.values()) == graph.n
         assert counts[S] <= susceptible_prev
@@ -162,6 +205,16 @@ def test_run_simulation_rejects_bad_shapes():
     with pytest.raises(ParameterError):
         run_simulation(graph, ModelParams(0.1, 0.1, 0.1), np.random.default_rng(0),
                        initial_statuses=np.zeros(4, dtype=np.int8))
+
+
+def test_rates_above_one_rejected():
+    graph = generate_ba_graph(10, 1, seed=10)
+    for params in (ModelParams(1.5, 0.1, 0.1), ModelParams(0.1, 2.0, 0.1),
+                   ModelParams(0.1, 0.1, 1.0001)):
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            run_simulation(graph, params, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="gamma"):
+        run_experiment(base_seed=3, reps=1, n=10, gamma_axis=(0.5, 1.5))
 
 
 def test_run_experiment_shape_and_finite_means():
