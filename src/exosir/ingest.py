@@ -323,11 +323,14 @@ def read_observed_csv(stream, state: str, population_n: int) -> ObservedSeries:
     reader = csv.DictReader(stream)
     cols = _header_map(reader.fieldnames, OBSERVED_HEADER, "observed series")
     rows = []
-    for row in reader:
-        rows.append((
-            parse_date(row[cols["date"]]),
-            *(int(row[cols[name]]) for name in OBSERVED_HEADER[1:]),
-        ))
+    for row_number, row in enumerate(reader, start=2):
+        fields = [row[cols[name]] for name in OBSERVED_HEADER]
+        if None in fields:
+            raise SchemaError(f"observed series row {row_number}: too few fields")
+        try:
+            rows.append((parse_date(fields[0]), *(int(v) for v in fields[1:])))
+        except ValueError as exc:
+            raise SchemaError(f"observed series row {row_number}: {exc}") from None
     rows.sort(key=lambda r: r[0])
     if not rows:
         raise SchemaError("observed series has no rows")

@@ -154,6 +154,10 @@ def check_step_size(dt: float) -> None:
 
 def _check_step(values, step: int):
     """Conservation and bounds checks for one integrated step; returns clamped values."""
+    s, ie, ix, r = values
+    if (0.0 <= s <= 1.0 and 0.0 <= ie <= 1.0 and 0.0 <= ix <= 1.0 and 0.0 <= r <= 1.0
+            and abs(s + ie + ix + r - 1.0) <= CONSERVATION_TOL):
+        return values  # NaN fails every comparison above, so it takes the path below
     total = 0.0
     for v in values:
         if not math.isfinite(v):
@@ -175,6 +179,56 @@ def _check_step(values, step: int):
     return out
 
 
+def _check_batch(values, step: int):
+    """_check_step's rules over equal-length arrays of runs; returns clamped arrays."""
+    out = []
+    for v in values:
+        low, high = v.min(), v.max()
+        if not (math.isfinite(low) and math.isfinite(high)):  # min and max propagate NaN
+            raise IntegrationError("non-finite compartment in sweep batch", step)
+        if low < 0.0:
+            if low < -UNDERSHOOT_TOL:
+                raise IntegrationError(f"compartment undershoot {float(low)!r}", step)
+            v = np.where(v < 0.0, 0.0, v)
+        if high > 1.0:
+            if high > 1.0 + UNDERSHOOT_TOL:
+                raise IntegrationError(f"compartment overshoot {float(high)!r}", step)
+            v = np.where(v > 1.0, 1.0, v)
+        out.append(v)
+    drift = np.abs(out[0] + out[1] + out[2] + out[3] - 1.0).max()
+    if drift > CONSERVATION_TOL:
+        raise IntegrationError(f"conservation violated: drift={float(drift)!r}", step)
+    return out
+
+
+def _exo_sir_f(beta_x, beta_e, gamma):
+    """exo_sir_rhs on unpacked compartments; rates may be floats or arrays of runs."""
+    def f(s, ie, ix, r):
+        i = ie + ix
+        endo = beta_e * s * i
+        return (-beta_x * s - endo, beta_x * s - gamma * ix, endo - gamma * ie, gamma * i)
+    return f
+
+
+def rk4_step(f, s, ie, ix, r, dt: float):
+    """One classical RK4 step of f(s, i_e, i_x, r) -> (ds, di_x, di_e, dr).
+
+    Elementwise, so the compartments may be Python floats (single runs) or
+    equal-length arrays (a batch of runs); both perform the same float
+    operations per run.
+    """
+    half = dt / 2.0
+    ds1, dx1, de1, dr1 = f(s, ie, ix, r)
+    ds2, dx2, de2, dr2 = f(s + half * ds1, ie + half * de1, ix + half * dx1, r + half * dr1)
+    ds3, dx3, de3, dr3 = f(s + half * ds2, ie + half * de2, ix + half * dx2, r + half * dr2)
+    ds4, dx4, de4, dr4 = f(s + dt * ds3, ie + dt * de3, ix + dt * dx3, r + dt * dr3)
+    sixth = dt / 6.0
+    return (s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4),
+            ie + sixth * (de1 + 2.0 * de2 + 2.0 * de3 + de4),
+            ix + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
+            r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))
+
+
 def integrate(rhs, initial: CompartmentState, params: ModelParams,
               dt: float, n_steps: int, t0: float = 0.0) -> Trajectory:
     """Integrate the Exo-SIR system with classical fixed-step RK4.
@@ -189,11 +243,7 @@ def integrate(rhs, initial: CompartmentState, params: ModelParams,
     initial.validate()
 
     if rhs is exo_sir_rhs:
-        bx, be, g = params.beta_x, params.beta_e, params.gamma
-
-        def f(s, ie, ix, r):
-            i = ie + ix
-            return (-bx * s - be * s * i, bx * s - g * ix, be * s * i - g * ie, g * i)
+        f = _exo_sir_f(params.beta_x, params.beta_e, params.gamma)
     else:
         def f(s, ie, ix, r):
             d = rhs(CompartmentState(s, ie, ix, r), params)
@@ -205,18 +255,8 @@ def integrate(rhs, initial: CompartmentState, params: ModelParams,
     R = np.empty(n_steps + 1)
     s, ie, ix, r = initial.s, initial.i_e, initial.i_x, initial.r
     S[0], IE[0], IX[0], R[0] = s, ie, ix, r
-    half = dt / 2.0
-    sixth = dt / 6.0
     for k in range(1, n_steps + 1):
-        ds1, dx1, de1, dr1 = f(s, ie, ix, r)
-        ds2, dx2, de2, dr2 = f(s + half * ds1, ie + half * de1, ix + half * dx1, r + half * dr1)
-        ds3, dx3, de3, dr3 = f(s + half * ds2, ie + half * de2, ix + half * dx2, r + half * dr2)
-        ds4, dx4, de4, dr4 = f(s + dt * ds3, ie + dt * de3, ix + dt * dx3, r + dt * dr3)
-        s = s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
-        ie = ie + sixth * (de1 + 2.0 * de2 + 2.0 * de3 + de4)
-        ix = ix + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-        r = r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
-        s, ie, ix, r = _check_step((s, ie, ix, r), k)
+        s, ie, ix, r = _check_step(rk4_step(f, s, ie, ix, r, dt), k)
         S[k], IE[k], IX[k], R[k] = s, ie, ix, r
     for arr in (S, IE, IX, R):
         arr.flags.writeable = False
@@ -225,38 +265,15 @@ def integrate(rhs, initial: CompartmentState, params: ModelParams,
 
 def integrate_sir(initial: tuple[float, float, float], params: tuple[float, float],
                   dt: float, n_steps: int, t0: float = 0.0) -> SirTrajectory:
-    """Integrate classic SIR with the same RK4 stepping and checks as integrate()."""
-    check_step_size(dt)
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps!r}")
-    beta, gamma = params
-    if beta < 0 or gamma < 0 or not (math.isfinite(beta) and math.isfinite(gamma)):
-        raise ParameterError(f"beta and gamma must be finite and nonnegative, got {params!r}")
+    """Integrate classic SIR as Exo-SIR with beta_x = 0 and i_x = 0.
 
-    S = np.empty(n_steps + 1)
-    I = np.empty(n_steps + 1)
-    R = np.empty(n_steps + 1)
-    s, i, r = initial
-    S[0], I[0], R[0] = s, i, r
-    half = dt / 2.0
-    sixth = dt / 6.0
-
-    def f(s, i, r):
-        return (-beta * s * i, beta * s * i - gamma * i, gamma * i)
-
-    for k in range(1, n_steps + 1):
-        ds1, di1, dr1 = f(s, i, r)
-        ds2, di2, dr2 = f(s + half * ds1, i + half * di1, r + half * dr1)
-        ds3, di3, dr3 = f(s + half * ds2, i + half * di2, r + half * dr2)
-        ds4, di4, dr4 = f(s + dt * ds3, i + dt * di3, r + dt * dr3)
-        s = s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
-        i = i + sixth * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
-        r = r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
-        s, i, r = _check_step((s, i, r), k)
-        S[k], I[k], R[k] = s, i, r
-    for arr in (S, I, R):
-        arr.flags.writeable = False
-    return SirTrajectory(t0=t0, dt=dt, s=S, i=I, r=R)
+    With no exogenous channel the Exo-SIR step performs the same float
+    operations as an SIR step, so (s, i_e, r) is the SIR trajectory.
+    """
+    (s, i, r), (beta, gamma) = initial, params
+    traj = integrate(exo_sir_rhs, CompartmentState(s, i, 0.0, r), ModelParams(0.0, beta, gamma),
+                     dt, n_steps, t0)
+    return SirTrajectory(t0=t0, dt=dt, s=traj.s, i=traj.i_e, r=traj.r)
 
 
 _COMPARTMENTS = {"i_e": lambda tr: tr.i_e, "i_x": lambda tr: tr.i_x, "i": lambda tr: tr.i}

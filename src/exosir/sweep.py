@@ -2,8 +2,8 @@
 
 Thirty uniform draws per rate form a k^3 Cartesian grid; every triple is
 integrated from the standard initial counts (N=1,000,000 with S=999,996,
-I_x=3, I_e=1, R=0) and the i_e peak is extracted. Peaks still rising at the
-horizon re-run with a doubled horizon.
+I_x=3, I_e=1, R=0) and the i_e peak is extracted. Runs still rising at the
+horizon keep integrating, from where they are, to a doubled horizon.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
-from .model import check_step_size
+from .errors import HorizonError, ParameterError, ScalingDomainError
+from .model import _check_batch, _exo_sir_f, check_step_size, rk4_step
 from .regression import RegressionReport, fit_linear
 
 SWEEP_INITIAL = (0.999996, 1e-6, 3e-6, 0.0)
@@ -22,9 +22,6 @@ DEFAULT_HORIZON = 2000
 MAX_DOUBLINGS = 4
 DEFAULT_SEED = 25
 DEFAULT_K = 30
-
-CONSERVATION_TOL = 1e-9
-UNDERSHOOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,73 +58,14 @@ def sample_grid(k: int = DEFAULT_K, seed: int = DEFAULT_SEED) -> np.ndarray:
     return np.column_stack([bx.ravel(), be.ravel(), g.ravel()])
 
 
-def _batch_ie_peaks(triples: np.ndarray, dt: float, n_steps: int):
-    """Vectorized RK4 over all triples at once with streaming peak extraction.
-
-    Returns (peak_value, peak_tick, rising) arrays; rising marks runs whose
-    i_e argmax sits on the final step. Applies the same conservation and
-    undershoot rules as model.integrate, vectorized across runs.
-    """
-    bx = triples[:, 0].copy()
-    be = triples[:, 1].copy()
-    g = triples[:, 2].copy()
-    count = bx.size
-    s = np.full(count, SWEEP_INITIAL[0])
-    ie = np.full(count, SWEEP_INITIAL[1])
-    ix = np.full(count, SWEEP_INITIAL[2])
-    r = np.full(count, SWEEP_INITIAL[3])
-    peak = ie.copy()
-    ptick = np.zeros(count, dtype=np.int64)
-    half = dt / 2.0
-    sixth = dt / 6.0
-
-    def rhs(s, ie, ix):
-        i = ie + ix
-        return (-bx * s - be * s * i, bx * s - g * ix, be * s * i - g * ie, g * i)
-
-    def checked(values, step):
-        out = []
-        for v in values:
-            if not np.isfinite(v).all():
-                raise IntegrationError("non-finite compartment in sweep batch", step)
-            low = v.min()
-            if low < 0.0:
-                if low < -UNDERSHOOT_TOL:
-                    raise IntegrationError(f"compartment undershoot {low!r}", step)
-                v = np.where(v < 0.0, 0.0, v)
-            high = v.max()
-            if high > 1.0:
-                if high > 1.0 + UNDERSHOOT_TOL:
-                    raise IntegrationError(f"compartment overshoot {high!r}", step)
-                v = np.where(v > 1.0, 1.0, v)
-            out.append(v)
-        drift = np.abs(out[0] + out[1] + out[2] + out[3] - 1.0).max()
-        if drift > CONSERVATION_TOL:
-            raise IntegrationError(f"conservation violated: drift={drift!r}", step)
-        return out
-
-    for tick in range(1, n_steps + 1):
-        ds1, dx1, de1, dr1 = rhs(s, ie, ix)
-        ds2, dx2, de2, dr2 = rhs(s + half * ds1, ie + half * de1, ix + half * dx1)
-        ds3, dx3, de3, dr3 = rhs(s + half * ds2, ie + half * de2, ix + half * dx2)
-        ds4, dx4, de4, dr4 = rhs(s + dt * ds3, ie + dt * de3, ix + dt * dx3)
-        s = s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
-        ie = ie + sixth * (de1 + 2.0 * de2 + 2.0 * de3 + de4)
-        ix = ix + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-        r = r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
-        s, ie, ix, r = checked((s, ie, ix, r), tick)
-        better = ie > peak
-        peak = np.where(better, ie, peak)
-        ptick = np.where(better, tick, ptick)
-    return peak, ptick, ptick == n_steps
-
-
 def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
               horizon: int = DEFAULT_HORIZON) -> list[SweepSample]:
-    """Integrate every triple and extract its i_e peak.
+    """Integrate every triple as one batch and extract its i_e peak.
 
-    A run whose i_e is still rising at the horizon re-runs with the horizon
-    doubled, up to 4 doublings; a peak still unbracketed after that raises
+    At each checkpoint (the horizon, then doubled up to 4 times) runs whose
+    i_e peak lies before the checkpoint are settled and dropped from the
+    batch; runs still rising on the checkpoint tick keep integrating from
+    their current state. A peak still unbracketed after 4 doublings raises
     HorizonError naming the triple.
     """
     triples = np.asarray(triples, dtype=float)
@@ -140,21 +78,33 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
     peak = np.empty(count)
     ptick = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
-    n_steps = horizon
+    s, ie, ix, r = (np.full(count, v) for v in SWEEP_INITIAL)
+    run_peak = ie.copy()
+    run_tick = np.zeros(count, dtype=np.int64)
+    tick = 0
+    checkpoint = horizon
     for doubling in range(MAX_DOUBLINGS + 1):
-        values, ticks, rising = _batch_ie_peaks(triples[active], dt, n_steps)
-        peak[active] = values
-        ptick[active] = ticks
-        active = active[rising]
-        if active.size == 0:
+        f = _exo_sir_f(*triples[active].T.copy())
+        while tick < checkpoint:
+            tick += 1
+            s, ie, ix, r = _check_batch(rk4_step(f, s, ie, ix, r, dt), tick)
+            better = ie > run_peak
+            run_peak = np.where(better, ie, run_peak)
+            run_tick = np.where(better, tick, run_tick)
+        peak[active] = run_peak
+        ptick[active] = run_tick
+        rising = run_tick == checkpoint
+        if not rising.any():
             break
         if doubling == MAX_DOUBLINGS:
-            bx, be, g = triples[active[0]]
+            bx, be, g = (float(v) for v in triples[active[rising][0]])
             raise HorizonError(
-                f"i_e still rising after {n_steps} steps (x{MAX_DOUBLINGS} doublings) for "
+                f"i_e still rising after {checkpoint} steps (x{MAX_DOUBLINGS} doublings) for "
                 f"beta_x={bx!r}, beta_e={be!r}, gamma={g!r} "
-                f"({active.size} run(s) affected)")
-        n_steps *= 2
+                f"({int(rising.sum())} run(s) affected)")
+        active, s, ie, ix, r, run_peak, run_tick = (
+            a[rising] for a in (active, s, ie, ix, r, run_peak, run_tick))
+        checkpoint *= 2
     return [
         SweepSample(beta_x=float(t[0]), beta_e=float(t[1]), gamma=float(t[2]),
                     ie_peak_value=float(v), ie_peak_tick=int(tk))

@@ -1,6 +1,7 @@
 """End-to-end command behavior: exit codes, artifacts, and determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -50,6 +51,29 @@ def test_simulate_sir_columns_match_exo_reduction(tmp_path):
         assert exo[4] == sir[3]  # r
 
 
+# sha256 of the artifacts as first written, before the integrator was refactored.
+# Both come from Python float arithmetic alone (no BLAS, no numpy transcendental
+# functions), so they hold on any IEEE-754 machine; a refactor must keep them.
+GOLDEN_SIMULATE = {
+    "exo": (["--beta-x", "0.002", "--beta-e", "0.35", "--gamma", "0.1",
+             "--ie0", "1e-4", "--ix0", "1e-4"],
+            {"trajectory.csv": "94c97479c3f4cf15c391c36506cfd70a3da6b82f45a8d3b5e9cc213cf7ad4ff4",
+             "peaks.json": "969af61c1371a5d42a219c2016d2f2364aa1a1d13bafd597103028b9571c8934"}),
+    "sir": (["--model", "sir", "--beta-e", "0.35", "--gamma", "0.1", "--i0", "0.01"],
+            {"trajectory.csv": "b557233bd4d7ea58f5bee62274cbb4b3e33c2ff315d1518c39d0a44c23b65070",
+             "peaks.json": "0ee1573942567e2c75dc6898ecbab5fc4453b6950458fa08c7ffbff97146c9ec"}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_SIMULATE))
+def test_simulate_artifacts_match_golden_digests(tmp_path, model):
+    flags, digests = GOLDEN_SIMULATE[model]
+    assert main(["simulate", *flags, "--dt", "0.1", "--steps", "2000",
+                 "--out", str(tmp_path)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_usage_errors_exit_1(tmp_path):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -91,10 +115,13 @@ def test_nonfinite_dt_exits_1(tmp_path, capsys, argv):
 
 
 def test_numerical_error_exits_3(tmp_path, capsys):
-    code = main(["simulate", "--beta-e", "80", "--dt", "1", "--steps", "10",
-                 "--out", str(tmp_path)])
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
+    # single runs and the sweep batch both report plain floats, not numpy reprs
+    for argv in (["simulate", "--beta-e", "80", "--dt", "1", "--steps", "10"],
+                 ["sweep", "--k", "2", "--dt", "50"]):
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "np." not in err
+    assert "compartment overshoot 327272257792.60144 (step 1)" in err
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 
 from exosir.errors import (ConfigError, DuplicateDateError, NegativeCountError,
                            ParameterError, SchemaError)
-from exosir.ingest import (ObservedSeries, build_observed, load_populations,
-                           merge_event_counts, parse_date, parse_event_counts,
-                           parse_raw_cases, parse_states_daily,
+from exosir.ingest import (OBSERVED_HEADER, ObservedSeries, build_observed,
+                           load_populations, merge_event_counts, parse_date,
+                           parse_event_counts, parse_raw_cases, parse_states_daily,
                            read_observed_csv, write_observed_csv)
 
 
@@ -195,6 +195,17 @@ def test_observed_csv_roundtrip():
     text = write_observed_csv(series)
     back = read_observed_csv(io.StringIO(text), "kl", 1000)
     assert back == series
+
+
+@pytest.mark.parametrize("row", [
+    "2020-02-11,3,0,0,x,0",  # non-integer count
+    "2020-02-11,3,0",  # too few fields
+    "11 Feb 2020,3,0,0,0,0",  # unparseable date
+])
+def test_read_observed_csv_bad_row_names_it(row):
+    text = ",".join(OBSERVED_HEADER) + "\n2020-02-10,1,0,0,0,0\n" + row + "\n"
+    with pytest.raises(SchemaError, match="row 3"):
+        read_observed_csv(io.StringIO(text), "kl", 1000)
 
 
 def test_observed_series_validation():

@@ -165,6 +165,11 @@ def test_integrate_rejects_bad_arguments():
     with pytest.raises(InvalidStateError):
         integrate(exo_sir_rhs, state(0.5, 0.1, 0.1, 0.1), ModelParams(0.1, 0.1, 0.1),
                   dt=0.1, n_steps=10)
+    # SIR runs through the same entry, so it checks its state and rates the same way
+    with pytest.raises(InvalidStateError):
+        integrate_sir((0.5, 0.1, 0.1), (0.1, 0.1), dt=0.1, n_steps=10)
+    with pytest.raises(ParameterError, match="beta_e"):
+        integrate_sir((0.9, 0.1, 0.0), (-0.1, 0.1), dt=0.1, n_steps=10)
 
 
 def test_integrate_failure_reports_step_index():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from exosir.errors import HorizonError, ParameterError, ScalingDomainError
-from exosir.sweep import (SweepSample, fit_ols, run_sweep, sample_grid,
-                          scale_log_peaks)
+from exosir.model import CompartmentState, ModelParams, exo_sir_rhs, integrate, peak_of
+from exosir.sweep import (DEFAULT_DT, DEFAULT_HORIZON, SWEEP_INITIAL, SweepSample, fit_ols,
+                          run_sweep, sample_grid, scale_log_peaks)
 
 
 def test_sample_grid_k2_is_full_product():
@@ -53,8 +54,34 @@ def test_run_sweep_bounds_on_random_triples():
 
 def test_run_sweep_horizon_error_names_triple():
     # growth rate ~1e-4/day keeps i_e rising far beyond 16x the base horizon
-    with pytest.raises(HorizonError, match="still rising"):
+    with pytest.raises(HorizonError,
+                       match="still rising.*beta_x=0.0, beta_e=0.02, gamma=0.0199"):
         run_sweep(np.array([[0.0, 0.02, 0.0199]]))
+
+
+def _scalar_peak(triple):
+    """The i_e peak by single scalar runs, restarting with a doubled horizon."""
+    params = ModelParams(*(float(v) for v in triple))
+    n_steps = DEFAULT_HORIZON
+    while True:
+        traj = integrate(exo_sir_rhs, CompartmentState(*SWEEP_INITIAL), params, DEFAULT_DT,
+                         n_steps)
+        peak = peak_of(traj, "i_e")
+        if peak.peak_tick < n_steps:
+            return peak.peak_value, peak.peak_tick
+        n_steps *= 2
+
+
+def test_run_sweep_matches_scalar_runs_bitwise():
+    # the batch and single runs share one RK4 step; the near-critical triples
+    # peak after 1, 2 and 3 checkpoints, so they also cover the resumed batch
+    near_critical = [[0.0, 0.13, 0.1], [0.0, 0.112, 0.1], [0.0, 0.105, 0.1]]
+    triples = np.vstack([sample_grid(30, 25)[::540], near_critical])
+    samples = run_sweep(triples)
+    late = [s.ie_peak_tick for s in samples[-3:]]
+    assert 2000 < late[0] < 4000 < late[1] < 8000 < late[2] < 16000
+    for triple, sample in zip(triples, samples):
+        assert (sample.ie_peak_value, sample.ie_peak_tick) == _scalar_peak(triple)
 
 
 def test_run_sweep_rejects_bad_input():
