@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,15 @@ def test_numerical_error_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "np." not in err
     assert "compartment overshoot 327272257792.60144 (step 1)" in err
+
+
+def test_sweep_overflow_prints_one_error_line(tmp_path):
+    # the step overflows to inf and NaN; the batch check reports it, numpy stays quiet
+    proc = subprocess.run([sys.executable, "-m", "exosir.cli", "sweep", "--k", "3",
+                           "--dt", "1e200", "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["error: non-finite compartment in sweep batch (step 1)"]
 
 
 def test_missing_input_exits_2(tmp_path, capsys):
@@ -311,3 +321,19 @@ def test_network_numeric_flags_never_escape(tmp_path_factory, flags):
             "--beta-x=0.1", "--beta-e=0.5", "--gamma=0.5", *_flag_argv(flags),
             "--out", str(out)]
     assert _exit_code(argv) in {0, 1, 2, 3}
+
+
+_STEPS = st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0, 0.0,
+                                    1e200, 1e300]),
+                   st.floats(0.05, 5.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.integers(2, 3), dt=_STEPS)
+def test_sweep_numeric_flags_never_escape(tmp_path_factory, k, dt):
+    out = tmp_path_factory.mktemp("sweep")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _exit_code(["sweep", f"--k={k}", f"--dt={dt!r}", "--out", str(out)])
+    assert code in {0, 1, 2, 3}
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
