@@ -26,8 +26,7 @@ from .model import (CompartmentState, ModelParams, PeakStats, SirTrajectory,
 from .network import (CombinationSummary, ContactGraph, NodeStatus, SimOutcome,
                       generate_ba_graph, run_experiment, run_simulation, step)
 from .regression import RegressionReport, fit_linear, t_critical, t_sf_two_sided
-from .sweep import (SweepSample, fit_ols, run_sweep, sample_grid,
-                    scale_log_peaks)
+from .sweep import fit_ols, run_sweep, sample_grid, scale_log_peaks
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,7 @@ __all__ = [
     "NumericalError", "ObservedSeries", "ParameterError", "PeakComparison",
     "PeakStats", "RawCaseRecord", "RegressionReport", "ScaleError",
     "ScalingDomainError", "SchemaError", "SimOutcome", "SingularDesignError",
-    "SirTrajectory", "SweepSample", "Trajectory",
+    "SirTrajectory", "Trajectory",
     "UnidentifiableParameterError", "build_observed", "counterfactual",
     "counterfactual_runs", "endogenous_boost_check", "estimate_params",
     "exo_sir_rhs", "export_observed", "fit_linear", "fit_ols",

@@ -40,8 +40,20 @@ def fmt(value) -> str:
 
 
 def csv_text(header, rows) -> str:
+    return _join_csv(header, (map(fmt, row) for row in rows))
+
+
+def csv_columns_text(header, columns) -> str:
+    """csv_text of a table given as numpy columns, formatted a column at a time.
+
+    tolist() yields Python floats and ints, whose repr is what fmt writes.
+    """
+    return _join_csv(header, zip(*(map(repr, col.tolist()) for col in columns)))
+
+
+def _join_csv(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, rows))
     return "\n".join(lines) + "\n"
 
 

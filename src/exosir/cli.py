@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from ._fileio import atomic_write_text, csv_text, json_text, resolve_out_dir
+from ._fileio import (atomic_write_text, csv_columns_text, csv_text, json_text,
+                      resolve_out_dir)
 from .errors import (ConfigError, DataError, InvalidStateError, NumericalError,
                      ParameterError)
 from .fitting import (DEFAULT_HORIZON_DAYS, counterfactual_runs,
@@ -112,13 +113,12 @@ def cmd_network(args) -> int:
 def cmd_sweep(args) -> int:
     out = resolve_out_dir(args.out)
     triples = sample_grid(args.k, args.seed)
-    samples = scale_log_peaks(run_sweep(triples, args.dt))
-    report = fit_ols(samples)
-    rows = [(s.beta_x, s.beta_e, s.gamma, s.ie_peak_value, s.ie_peak_tick,
-             s.log_peak_scaled) for s in samples]
+    peak, tick = run_sweep(triples, args.dt)
+    scaled = scale_log_peaks(peak)
+    report = fit_ols(triples, scaled)
     _write(os.path.join(out, "samples.csv"),
-           csv_text(("beta_x", "beta_e", "gamma", "ie_peak_value", "ie_peak_tick",
-                     "log_peak_scaled"), rows))
+           csv_columns_text(("beta_x", "beta_e", "gamma", "ie_peak_value", "ie_peak_tick",
+                             "log_peak_scaled"), (*triples.T, peak, tick, scaled)))
     _write(os.path.join(out, "regression.json"), json_text(report.to_json_dict()))
     return 0
 

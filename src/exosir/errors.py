@@ -50,6 +50,7 @@ class IntegrationError(NumericalError):
 
     def __init__(self, message: str, step: int):
         super().__init__(f"{message} (step {step})")
+        self.reason = message
         self.step = step
 
 

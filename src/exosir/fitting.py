@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HorizonError, ParameterError, ScaleError,
+from .errors import (HorizonError, IntegrationError, ParameterError, ScaleError,
                      UnidentifiableParameterError)
 from .ingest import ObservedSeries
 from .model import (CompartmentState, ModelParams, PeakStats, Trajectory,
@@ -161,18 +161,35 @@ def estimate_params(norm: NormalizedSeries, *,
 
 def _run_until_peaked(params: ModelParams, initial: CompartmentState,
                       horizon_days: int) -> Trajectory:
-    """Integrate at one-day steps, doubling the horizon until the i_e peak is interior."""
-    n_steps = int(horizon_days)
+    """Integrate at one-day steps, doubling the horizon until the i_e peak is interior.
+
+    Each doubling continues from the last day instead of restarting from day 0;
+    a step depends only on the state it starts from, so every day is the same.
+    """
+    traj = integrate(exo_sir_rhs, initial, params, COUNTERFACTUAL_DT, int(horizon_days))
     while True:
-        traj = integrate(exo_sir_rhs, initial, params, COUNTERFACTUAL_DT, n_steps)
-        peak = peak_of(traj, "i_e")
-        if peak.peak_tick < n_steps:
+        n_steps = len(traj) - 1
+        if peak_of(traj, "i_e").peak_tick < n_steps:
             return traj
         if n_steps >= MAX_HORIZON_DAYS:
             raise HorizonError(
                 f"i_e still rising after {n_steps} days "
                 f"(beta_x={params.beta_x!r}, beta_e={params.beta_e!r}, gamma={params.gamma!r})")
-        n_steps = min(2 * n_steps, MAX_HORIZON_DAYS)
+        more = min(2 * n_steps, MAX_HORIZON_DAYS) - n_steps
+        try:
+            tail = integrate(exo_sir_rhs, traj.state_at(n_steps), params, COUNTERFACTUAL_DT, more)
+        except IntegrationError as exc:  # number the step from day 0, as a restart would
+            raise IntegrationError(exc.reason, n_steps + exc.step) from None
+        traj = _joined(traj, tail)
+
+
+def _joined(head: Trajectory, tail: Trajectory) -> Trajectory:
+    """head followed by tail, whose first state is head's last."""
+    arrays = [np.concatenate([getattr(head, name), getattr(tail, name)[1:]])
+              for name in ("s", "i_e", "i_x", "r")]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return Trajectory(head.t0, head.dt, *arrays)
 
 
 def fold_out_exogenous(fitted: FittedParams) -> FittedParams:

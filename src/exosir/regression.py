@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError, SingularDesignError
 
@@ -41,12 +40,16 @@ def t_sf_two_sided(t: np.ndarray, df: int) -> np.ndarray:
     Uses the regularized incomplete beta identity
     P(|T| >= |t|) = I_{df/(df+t^2)}(df/2, 1/2).
     """
+    from scipy import special  # imported here: only the sweep's OLS needs scipy
+
     t = np.asarray(t, dtype=float)
     return special.betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
 def t_critical(alpha: float, df: int) -> float:
     """Two-sided critical value t* with P(|T_df| >= t*) = alpha."""
+    from scipy import special
+
     x = special.betaincinv(df / 2.0, 0.5, alpha)
     return float(np.sqrt(df * (1.0 - x) / x))
 

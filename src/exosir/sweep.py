@@ -9,8 +9,6 @@ integrating, from where they are, to a doubled horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import HorizonError, ParameterError, ScalingDomainError
@@ -50,21 +48,49 @@ DEFAULT_K = 30
 #        both brackets being positive for x <= 0.24.
 # The same bounds make the step's result nonnegative, so an eligible run's checks see only
 # rounding and a dropped run can raise no error the full integration would have raised.
+#
+# Subcritical runs: a bound on i_e itself. Fix the settle tick's s as S and let g = gamma.
+# s never rises, so the production beta_x*s of i_x stays <= g*X with
+# X = max(i_x, beta_x*S/g). If c = g - beta_e*S > 0 (Kermack-McKendrick: beta_e*s < g),
+# the production beta_e*s*(i_e + i_x) of i_e stays <= g*E with E = max(i_e, beta_e*S*X/c)
+# while i_e <= E and i_x <= X. For the RK4 step, each of i_x and i_e is y' = p - g*y with
+# stage productions p_k. Take its bound B, stage slacks w_k = B - y_k (y_0 = y) and
+# deficits q_k = g*B - p_k; the stages are w_(k+1) = w_0 + a_k*(q_k - g*w_k) (a = h, h, dt)
+# and, with z = g*dt <= dt*L, the result is
+#   w_new = R(z)*w_0 + dt/6*((1 - z + z^2/2 - z^3/4)*q_0 + (2 - z + z^2/2)*q_1
+#                            + (2 - z)*q_2 + q_3),  R(z) = 1 - z + z^2/2 - z^3/6 + z^4/24,
+# every weight positive for z <= 1: the result keeps y <= B once every stage has q_k >= 0.
+# Write q_k = T_k + m_k*w_k with Q = g*B - (production bound at S) >= 0 and D_k = -ds_k:
+#   i_x: T_k = Q + beta_x*(S - s_k), m_k = 0;
+#   i_e: T_k = Q + beta_e*(E + X)*(S - s_k) + beta_e*s_k*(X - i_x,k), m_k = beta_e*s_k.
+# Then w_(k+1) = w_0 + a_k*T_k - l_k*w_k with l_k = a_k*(g - m_k) in [0, a_k*g]
+# (beta_e*s_k <= beta_e*S < g), so
+#   w_1 = (1 - l_0)*w_0 + h*T_0,
+#   w_2 = (1 - l_1*(1 - l_0))*w_0 + h*(T_1 - l_1*T_0),
+#   w_3 = (1 - l_2*(1 - l_1 + l_0*l_1))*w_0 + dt*T_2 - h*l_2*T_1 + h*l_1*l_2*T_0,
+# and every stage keeps y <= B if T_1 >= l_1*T_0 and 2*T_2 >= l_2*T_1, where l_1 <= x and
+# l_2 <= 2x. Term by term, with i_x's stages done first:
+#   Q: l_k <= 2x < 1.
+#   S - s_k: s_1 <= s_0, and S - s_2 - x*(S - s_1) >= h*(D_1 - x*D_0) >= 0, as
+#        D_k = (beta_x + beta_e*i_k)*s_k with s_1 >= (1-x)*s_0 and i_1 >= (1-x)*i_0 gives
+#        D_1 >= (1-x)^2*D_0.
+#   s_k*(X - i_x,k): by the lines for i_x, X - i_x,1 >= (1-x)*(X - i_x,0) and
+#        X - i_x,2 >= (1-x)*(X - i_x,1); with s_1 >= (1-x)*s_0 and s_2 >= (1-x)*s_1,
+#        each product is at least (1-x)^2 >= x times the one before.
+# So every stage keeps i_x <= X and i_e <= E, hence so does the result, and by induction
+# every later tick: once run_peak > E, no later tick can beat it.
+#
+# Margin. A step's stored result differs from the exact RK4 map of the stored state by at
+# most SETTLE_STEP_SLACK = d per compartment (clamps and rounding, as above); the s + i_e
+# test adds N*d, N = horizon*2**MAX_DOUBLINGS >= the ticks left, to its bound. For E the
+# bounds must grow with the errors: S_k = S + k*d, X_k = X + k*d*(1 + beta_x/g) and
+# E_k = max(i_e, beta_e*S_N*X_N/c_N) + k*d keep X_k >= beta_x*S_k/g and
+# (g - beta_e*S_k)*E_k >= beta_e*S_k*X_k for every k <= N while c_N = g - beta_e*S_N > 0.
+# So _settled evaluates E at s + N*d and at X inflated by N*d*(1 + beta_x/g), which
+# carries the beta_e*s/c amplification of the slack in X, and adds N*d to it.
 SETTLE_EVERY = 16
 SETTLE_DT_RATES = 0.4
 SETTLE_STEP_SLACK = 3 * UNDERSHOOT_TOL
-
-
-@dataclass(frozen=True)
-class SweepSample:
-    """One sweep run: parameter triple, i_e peak, and its min-max scaled log."""
-
-    beta_x: float
-    beta_e: float
-    gamma: float
-    ie_peak_value: float
-    ie_peak_tick: int
-    log_peak_scaled: float | None = None
 
 
 def sample_grid(k: int = DEFAULT_K, seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -94,26 +120,52 @@ def _settle_eligible(triples: np.ndarray, dt: float) -> np.ndarray:
     return (triples >= 0.0).all(axis=1) & (dt * triples.sum(axis=1) <= SETTLE_DT_RATES)
 
 
-def _settled(run_peak, s, ie, last_tick: int):
-    """Where no tick up to last_tick can beat run_peak, for eligible runs."""
-    return run_peak > s + ie + last_tick * SETTLE_STEP_SLACK
+def _settled(run_peak, s, ie, ix, rates, last_tick: int):
+    """Where no tick up to last_tick can beat run_peak, for eligible runs.
+
+    The bound is s + i_e, or the smaller E where beta_e*s stays below gamma;
+    both come with the margin derived above.
+    """
+    bx, be, g = rates
+    margin = last_tick * SETTLE_STEP_SLACK
+    s_hi = s + margin
+    c = g - be * s_hi
+    sub = c > 0.0  # implies g > 0; elsewhere only s + i_e bounds i_e
+    g = np.where(sub, g, 1.0)
+    x_hi = np.maximum(ix, bx * s / g) + margin * (1.0 + bx / g)
+    e_hi = np.maximum(ie, be * s_hi * x_hi / np.where(sub, c, 1.0))
+    bound = np.where(sub, np.minimum(s + ie, e_hi), s + ie)
+    return run_peak > bound + margin
+
+
+def _check_rates(triples: np.ndarray) -> None:
+    """Raise ParameterError unless every rate is finite and nonnegative, as ModelParams."""
+    bad = ~(np.isfinite(triples) & (triples >= 0.0))
+    if bad.any():
+        run, col = (int(v) for v in np.argwhere(bad)[0])
+        value = float(triples[run, col])
+        rule = "finite" if not np.isfinite(value) else "nonnegative"
+        raise ParameterError(f"{('beta_x', 'beta_e', 'gamma')[col]} must be {rule}, "
+                             f"got {value!r} (run {run})")
 
 
 def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
-              horizon: int = DEFAULT_HORIZON) -> list[SweepSample]:
+              horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, np.ndarray]:
     """Integrate every triple as one batch and extract its i_e peak.
 
-    Every SETTLE_EVERY ticks, eligible runs whose peak can no longer be
-    beaten are settled and dropped from the batch. At each checkpoint (the
-    horizon, then doubled up to 4 times) runs whose i_e peak lies before the
-    checkpoint are dropped too; runs still rising on the checkpoint tick keep
-    integrating from their current state. A peak still unbracketed after 4
-    doublings raises HorizonError naming the triple. Dropping a run changes
-    neither its peak nor the errors of the batch.
+    Returns the peak values and their ticks, one entry per triple. Every
+    SETTLE_EVERY ticks, eligible runs whose peak can no longer be beaten are
+    settled and dropped from the batch. At each checkpoint (the horizon, then
+    doubled up to 4 times) runs whose i_e peak lies before the checkpoint are
+    dropped too; runs still rising on the checkpoint tick keep integrating
+    from their current state. A peak still unbracketed after 4 doublings
+    raises HorizonError naming the triple. Dropping a run changes neither its
+    peak nor the errors of the batch.
     """
     triples = np.asarray(triples, dtype=float)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ParameterError(f"triples must have shape (n, 3), got {triples.shape}")
+    _check_rates(triples)
     check_step_size(dt)
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon!r}")
@@ -124,13 +176,14 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
     s, ie, ix, r = (np.full(count, v) for v in SWEEP_INITIAL)
     run_peak = ie.copy()
     run_tick = np.zeros(count, dtype=np.int64)
+    rates = triples.T.copy()
     tick = 0
     checkpoint = horizon
     last_tick = horizon * 2**MAX_DOUBLINGS
     # _check_batch reports non-finite values, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         eligible = _settle_eligible(triples, dt)
-        f = _exo_sir_f(*triples.T.copy())
+        f = _exo_sir_f(*rates)
         while active.size:
             tick += 1
             s, ie, ix, r = _check_batch(rk4_step(f, s, ie, ix, r, dt), tick)
@@ -147,7 +200,7 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
                         f"({int(keep.sum())} run(s) affected)")
                 checkpoint *= 2
             elif tick % SETTLE_EVERY == 0:
-                keep = ~(eligible[active] & _settled(run_peak, s, ie, last_tick))
+                keep = ~(eligible[active] & _settled(run_peak, s, ie, ix, rates, last_tick))
             else:
                 continue
             if keep.all():
@@ -156,42 +209,37 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
             ptick[active] = run_tick
             active, s, ie, ix, r, run_peak, run_tick = (
                 a[keep] for a in (active, s, ie, ix, r, run_peak, run_tick))
-            f = _exo_sir_f(*triples[active].T.copy())
-    return [
-        SweepSample(beta_x=float(t[0]), beta_e=float(t[1]), gamma=float(t[2]),
-                    ie_peak_value=float(v), ie_peak_tick=int(tk))
-        for t, v, tk in zip(triples, peak, ptick)
-    ]
+            rates = rates[:, keep]
+            f = _exo_sir_f(*rates)
+    return peak, ptick
 
 
-def scale_log_peaks(samples: list[SweepSample]) -> list[SweepSample]:
-    """Populate log_peak_scaled with min-max scaled ln(ie_peak_value).
+def scale_log_peaks(peaks: np.ndarray) -> np.ndarray:
+    """Min-max scaled ln(peak value), one entry per run.
 
     A degenerate range (max == min) maps every value to 0.
     """
-    values = np.array([s.ie_peak_value for s in samples])
+    values = np.asarray(peaks, dtype=float)
     if (values <= 0).any():
         bad = float(values.min())
         raise ScalingDomainError(f"nonpositive peak value {bad!r} cannot be log-scaled")
     logs = np.log(values)
     lo, hi = float(logs.min()), float(logs.max())
     if hi == lo:
-        scaled = np.zeros_like(logs)
-    else:
-        scaled = (logs - lo) / (hi - lo)
-    return [replace(s, log_peak_scaled=float(v)) for s, v in zip(samples, scaled)]
+        return np.zeros_like(logs)
+    return (logs - lo) / (hi - lo)
 
 
-def fit_ols(samples: list[SweepSample]) -> RegressionReport:
+def fit_ols(triples: np.ndarray, log_peak_scaled: np.ndarray) -> RegressionReport:
     """OLS of the scaled log peak on (beta_e, beta_x, gamma) with intercept."""
-    if len(samples) < 5:
-        raise ParameterError(f"need at least 5 samples, got {len(samples)}")
-    if any(s.log_peak_scaled is None for s in samples):
-        raise ParameterError("samples must be scaled first (see scale_log_peaks)")
-    y = np.array([s.log_peak_scaled for s in samples])
-    covariates = {
-        "beta_e": np.array([s.beta_e for s in samples]),
-        "beta_x": np.array([s.beta_x for s in samples]),
-        "gamma": np.array([s.gamma for s in samples]),
-    }
-    return fit_linear(y, covariates)
+    triples = np.asarray(triples, dtype=float)
+    y = np.asarray(log_peak_scaled, dtype=float)
+    if triples.ndim != 2 or triples.shape[1] != 3 or y.shape != triples.shape[:1]:
+        raise ParameterError(f"need (n, 3) triples and n scaled peaks, got "
+                             f"{triples.shape} and {y.shape}")
+    if len(y) < 5:
+        raise ParameterError(f"need at least 5 samples, got {len(y)}")
+    if not np.isfinite(y).all():
+        raise ParameterError("scaled peaks must be finite (see scale_log_peaks)")
+    return fit_linear(y, {"beta_e": triples[:, 1], "beta_x": triples[:, 0],
+                          "gamma": triples[:, 2]})

@@ -167,8 +167,8 @@ def test_criterion_04_endogenous_boost_direction():
 
 def test_criterion_05_sweep_regression():
     start = time.perf_counter()
-    samples = scale_log_peaks(run_sweep(sample_grid(30, 25), 0.1))
-    report = fit_ols(samples)
+    triples = sample_grid(30, 25)
+    report = fit_ols(triples, scale_log_peaks(run_sweep(triples, 0.1)[0]))
     elapsed = time.perf_counter() - start
 
     c = report.coefficients

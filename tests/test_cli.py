@@ -284,6 +284,15 @@ def test_module_entry_point():
     assert "simulate" in proc.stdout
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # only the sweep's OLS needs scipy, so the other subcommands do not pay for its import
+    code = ("import sys, exosir.cli; exosir.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 _NUMBERS = st.one_of(st.floats(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 1e300]))
 
 

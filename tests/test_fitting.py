@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from exosir.errors import (HorizonError, ParameterError, ScaleError,
+from exosir import fitting
+from exosir.errors import (HorizonError, IntegrationError, ParameterError, ScaleError,
                            UnidentifiableParameterError)
 from exosir.fitting import (FittedParams, NormalizedSeries, counterfactual,
                             counterfactual_runs, estimate_params,
@@ -285,6 +286,45 @@ def test_counterfactual_horizon_error():
         counterfactual(fitted)
     assert "4096" in str(exc.value)
     assert "beta_e=0.02" in str(exc.value)
+
+
+def test_run_until_peaked_resumes_bitwise(monkeypatch):
+    # a horizon of a third of the peak day forces two doublings; the resumed run equals
+    # one integration over the final horizon, bit for bit, and integrates each day once
+    params = ModelParams(beta_x=1e-3, beta_e=0.3, gamma=0.1)
+    initial = CompartmentState(s=0.998, i_e=1e-3, i_x=1e-3, r=0.0)
+    peak_day = int(np.argmax(integrate(exo_sir_rhs, initial, params, 1.0, 400).i_e))
+    horizon = peak_day // 3
+    assert 2 * horizon <= peak_day < 4 * horizon
+    calls = []
+
+    def counting(rhs, start, p, step, n_steps, t0=0.0):
+        calls.append(n_steps)
+        return integrate(rhs, start, p, step, n_steps, t0)
+
+    monkeypatch.setattr(fitting, "integrate", counting)
+    traj = fitting._run_until_peaked(params, initial, horizon)
+    assert calls == [horizon, horizon, 2 * horizon]
+    whole = integrate(exo_sir_rhs, initial, params, 1.0, 4 * horizon)
+    for name in ("s", "i_e", "i_x", "r"):
+        assert np.array_equal(getattr(traj, name), getattr(whole, name))
+    assert np.array_equal(traj.times, whole.times)
+    assert not traj.i_e.flags.writeable
+
+
+def test_run_until_peaked_numbers_resumed_steps_from_day_0(monkeypatch):
+    # a failure after a doubling names the step a restarted run would have named
+    params = ModelParams(beta_x=1e-3, beta_e=0.3, gamma=0.1)
+    initial = CompartmentState(s=0.998, i_e=1e-3, i_x=1e-3, r=0.0)
+
+    def failing_tail(rhs, start, p, step, n_steps, t0=0.0):
+        if start is not initial:
+            raise IntegrationError("compartment undershoot -1.0", 7)
+        return integrate(rhs, start, p, step, n_steps, t0)
+
+    monkeypatch.setattr(fitting, "integrate", failing_tail)
+    with pytest.raises(IntegrationError, match=r"^compartment undershoot -1\.0 \(step 17\)$"):
+        fitting._run_until_peaked(params, initial, 10)
 
 
 def test_export_requires_day_steps():

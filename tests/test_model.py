@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
 from exosir.model import (CompartmentState, ModelParams, Trajectory,
@@ -111,34 +112,26 @@ def test_integrate_matches_euler_oracle_pinned():
         assert abs(got - want) < 1e-6
 
 
-def test_integrate_matches_euler_oracle_random_rates():
-    # rates capped at 0.2/day: beyond that the first-order oracle's own error
-    # at dt=1e-5 over 10 days approaches the 1e-6 budget being tested
+def test_integrate_matches_high_order_oracle_random_rates():
+    # the oracle is scipy's 8th-order DOP853 at rtol 1e-12, far more accurate than the
+    # 1e-6 budget being tested; the rate sets are those of the earlier Euler oracle
     rng = np.random.default_rng(7)
     sets = rng.uniform(0.0, 0.2, size=(20, 3))
-    y0 = (np.full(20, 0.97), np.full(20, 0.01), np.full(20, 0.01), np.full(20, 0.01))
-    s, ie, ix, r = (col.copy() for col in y0)
-    bx, be, g = sets[:, 0], sets[:, 1], sets[:, 2]
-    dt = 1e-5
-    for _ in range(1_000_000):
-        i = ie + ix
-        sei = be * s * i
-        ds = -bx * s - sei
-        dx = bx * s - g * ix
-        de = sei - g * ie
-        dr = g * i
-        s += dt * ds
-        ix += dt * dx
-        ie += dt * de
-        r += dt * dr
     worst = 0.0
-    for k in range(20):
-        params = ModelParams(beta_x=float(bx[k]), beta_e=float(be[k]), gamma=float(g[k]))
+    for bx, be, g in sets.tolist():
+        def rhs(t, y):
+            s, ie, ix, r = y
+            i = ie + ix
+            return [-bx * s - be * s * i, be * s * i - g * ie, bx * s - g * ix, g * i]
+
+        oracle = solve_ivp(rhs, (0.0, 10.0), [0.97, 0.01, 0.01, 0.01], method="DOP853",
+                           rtol=1e-12, atol=1e-14).y[:, -1]
+        params = ModelParams(beta_x=bx, beta_e=be, gamma=g)
         traj = integrate(exo_sir_rhs, state(0.97, 0.01, 0.01, 0.01), params,
                          dt=0.01, n_steps=1000)
         final = traj.state_at(1000)
-        dev = max(abs(final.s - s[k]), abs(final.i_e - ie[k]),
-                  abs(final.i_x - ix[k]), abs(final.r - r[k]))
+        dev = max(abs(got - want) for got, want in
+                  zip((final.s, final.i_e, final.i_x, final.r), oracle))
         worst = max(worst, dev)
     assert worst < 1e-6
 

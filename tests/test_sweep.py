@@ -1,6 +1,7 @@
 """Random-grid sweep: sampling, batched peak extraction, scaling, regression."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from exosir.errors import HorizonError, IntegrationError, ParameterError, Scalin
 from exosir.model import (CompartmentState, ModelParams, _exo_sir_f, exo_sir_rhs, integrate,
                           peak_of, rk4_step)
 from exosir.sweep import (DEFAULT_DT, DEFAULT_HORIZON, SETTLE_DT_RATES, SWEEP_INITIAL,
-                          SweepSample, _settle_eligible, _settled, fit_ols, run_sweep,
-                          sample_grid, scale_log_peaks)
+                          _settle_eligible, _settled, fit_ols, run_sweep, sample_grid,
+                          scale_log_peaks)
 
 
 def test_sample_grid_k2_is_full_product():
@@ -35,23 +36,23 @@ def test_sample_grid_rejects_small_k():
 
 
 def test_run_sweep_pure_decay_peaks_at_start():
-    samples = run_sweep(np.array([[0.0, 0.0, 0.3]]))
-    assert samples[0].ie_peak_tick == 0
-    assert samples[0].ie_peak_value == 1e-6  # the initial endogenous fraction
+    peak, tick = run_sweep(np.array([[0.0, 0.0, 0.3]]))
+    assert tick[0] == 0
+    assert peak[0] == 1e-6  # the initial endogenous fraction
 
 
 def test_run_sweep_growth_peaks_later():
-    samples = run_sweep(np.array([[0.001, 0.5, 0.1]]))
-    assert samples[0].ie_peak_tick > 0
-    assert 0.0 < samples[0].ie_peak_value <= 1.0
+    peak, tick = run_sweep(np.array([[0.001, 0.5, 0.1]]))
+    assert tick[0] > 0
+    assert 0.0 < peak[0] <= 1.0
 
 
 def test_run_sweep_bounds_on_random_triples():
     rng = np.random.default_rng(2)
     triples = rng.uniform(0.05, 1.0, size=(40, 3))
-    for sample in run_sweep(triples):
-        assert 0.0 < sample.ie_peak_value <= 1.0
-        assert sample.ie_peak_tick >= 0
+    for value, tick in zip(*run_sweep(triples)):
+        assert 0.0 < value <= 1.0
+        assert tick >= 0
 
 
 def test_run_sweep_horizon_error_names_triple():
@@ -61,10 +62,10 @@ def test_run_sweep_horizon_error_names_triple():
         run_sweep(np.array([[0.0, 0.02, 0.0199]]))
 
 
-def _scalar_peak(triple, dt=DEFAULT_DT):
+def _scalar_peak(triple, dt=DEFAULT_DT, horizon=DEFAULT_HORIZON):
     """The i_e peak by single scalar runs, restarting with a doubled horizon."""
     params = ModelParams(*(float(v) for v in triple))
-    n_steps = DEFAULT_HORIZON
+    n_steps = horizon
     while True:
         traj = integrate(exo_sir_rhs, CompartmentState(*SWEEP_INITIAL), params, dt, n_steps)
         peak = peak_of(traj, "i_e")
@@ -73,16 +74,22 @@ def _scalar_peak(triple, dt=DEFAULT_DT):
         n_steps *= 2
 
 
+def _assert_matches_scalar_runs(triples, dt=DEFAULT_DT, horizon=DEFAULT_HORIZON):
+    peak, tick = run_sweep(triples, dt, horizon)
+    for triple, value, at in zip(triples, peak.tolist(), tick.tolist()):
+        assert (value, at) == _scalar_peak(triple, dt, horizon), triple
+
+
 def test_run_sweep_matches_scalar_runs_bitwise():
     # the batch and single runs share one RK4 step; the near-critical triples
     # peak after 1, 2 and 3 checkpoints, so they also cover the resumed batch
     near_critical = [[0.0, 0.13, 0.1], [0.0, 0.112, 0.1], [0.0, 0.105, 0.1]]
     triples = np.vstack([sample_grid(30, 25)[::540], near_critical])
-    samples = run_sweep(triples)
-    late = [s.ie_peak_tick for s in samples[-3:]]
+    peak, tick = run_sweep(triples)
+    late = tick[-3:].tolist()
     assert 2000 < late[0] < 4000 < late[1] < 8000 < late[2] < 16000
-    for triple, sample in zip(triples, samples):
-        assert (sample.ie_peak_value, sample.ie_peak_tick) == _scalar_peak(triple)
+    for triple, value, at in zip(triples, peak.tolist(), tick.tolist()):
+        assert (value, at) == _scalar_peak(triple)
 
 
 def test_run_sweep_settled_runs_match_scalar_runs_bitwise():
@@ -91,14 +98,58 @@ def test_run_sweep_settled_runs_match_scalar_runs_bitwise():
     rng = np.random.default_rng(5)
     slow = sample_grid(30, 26)[::900].copy()
     slow[:, 0] = rng.uniform(1e-5, 1e-3, len(slow))
-    for triple, sample in zip(slow, run_sweep(slow)):
-        assert (sample.ie_peak_value, sample.ie_peak_tick) == _scalar_peak(triple)
+    _assert_matches_scalar_runs(slow)
     grid = sample_grid(30, 27)
     coarse = grid[np.argsort(grid.sum(axis=1))[::1000]]
     eligible = _settle_eligible(coarse, 0.5)
     assert 0 < eligible.sum() < len(coarse)
-    for triple, sample in zip(coarse, run_sweep(coarse, dt=0.5)):
-        assert (sample.ie_peak_value, sample.ie_peak_tick) == _scalar_peak(triple, dt=0.5)
+    _assert_matches_scalar_runs(coarse, dt=0.5)
+
+
+def test_run_sweep_near_critical_runs_match_scalar_runs_bitwise():
+    # beta_e within 10% of gamma: after the peak c = gamma - beta_e*s stays small, so the
+    # subcritical bound E = max(i_e, beta_e*s*X/c) is barely below s + i_e and its margin
+    # matters most. The short first horizon keeps the scalar runs short and the margin small
+    rng = np.random.default_rng(6)
+    gamma = rng.uniform(0.05, 1.0, 300)
+    triples = np.column_stack([10.0 ** rng.uniform(-6, -2, 300),
+                               gamma * rng.uniform(0.9, 1.1, 300), gamma])
+    _assert_matches_scalar_runs(triples, horizon=500)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.5])
+def test_run_sweep_tiny_beta_x_matches_scalar_runs_bitwise(dt):
+    # a 4^3 grid with beta_x in [1e-6, 1e-4] and beta_e between 0.5% and 16% of gamma: the
+    # s + i_e test alone cannot settle these runs, and in about a fifth of them i_e first
+    # decays and then i_x, still rising, feeds it to a later and higher peak, which only the
+    # X term of E = max(i_e, beta_e*s*X/c) foresees
+    u = sample_grid(4, 2)
+    gamma = 10.0 ** (1.3 * u[:, 2] - 1.3)
+    triples = np.column_stack([10.0 ** (2.0 * u[:, 0] - 6.0),
+                               gamma * 10.0 ** (1.5 * u[:, 1] - 2.3), gamma])
+    _assert_matches_scalar_runs(triples, dt=dt)
+
+
+def test_run_sweep_without_a_channel_matches_scalar_runs_bitwise():
+    # gamma = 0 leaves X undefined and c = -beta_e*s <= 0, so those runs fall back to
+    # s + i_e; beta_x = 0 makes X = i_x. No division may warn
+    triples = np.array([[0.01, 0.3, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0],
+                        [0.0, 0.3, 0.1], [0.0, 0.05, 0.1], [0.0, 0.1, 0.1],
+                        [0.3, 0.3, 0.0], [0.0, 0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_matches_scalar_runs(triples)
+
+
+@pytest.mark.parametrize("triple, message", [
+    ([-0.1, 0.5, 0.5], r"^beta_x must be nonnegative, got -0\.1 \(run 1\)$"),
+    ([np.nan, 0.5, 0.5], r"^beta_x must be finite, got nan \(run 1\)$"),
+    ([0.1, 0.5, -0.05], r"^gamma must be nonnegative, got -0\.05 \(run 1\)$"),
+])
+def test_run_sweep_rejects_bad_rates(triple, message):
+    # bad rates are a usage error (exit 1), as for ModelParams, not a numerical failure
+    with pytest.raises(ParameterError, match=message):
+        run_sweep(np.array([[0.1, 0.2, 0.3], triple]))
 
 
 def test_settle_eligibility_guard():
@@ -143,15 +194,74 @@ def _rk4_stages(rates, states, dt):
 
 
 def test_settle_predicate():
-    s, ie = np.array([0.2, 0.2, 0.2]), np.array([0.1, 0.1, 0.1])
-    # the margin is 3e-12 per tick up to the last tick: 9.6e-8 at the default 2000 * 2**4
+    s, ie, ix = np.array([0.2, 0.2, 0.2]), np.array([0.1, 0.1, 0.1]), np.zeros(3)
+    # gamma = 0: only s + i_e bounds i_e. The margin is 3e-12 per tick up to the last tick:
+    # 9.6e-8 at the default 2000 * 2**4
+    rates = np.array([[0.1] * 3, [0.5] * 3, [0.0] * 3])
     peak = 0.3 + np.array([1.1e-7, 0.9e-7, 0.0])
-    assert _settled(peak, s, ie, DEFAULT_HORIZON * 16).tolist() == [True, False, False]
-    assert _settled(peak, s, ie, DEFAULT_HORIZON * 16 // 10).tolist() == [True, True, False]
+    assert _settled(peak, s, ie, ix, rates, DEFAULT_HORIZON * 16).tolist() == [True, False, False]
+    assert _settled(peak, s, ie, ix, rates, DEFAULT_HORIZON * 16 // 10).tolist() == [
+        True, True, False]
+    # subcritical (c = 0.5 - 0.1*0.2 > 0): X = max(0.01, 0.01*0.2/0.5) = 0.01 and
+    # E = max(0.1, 0.1*0.2*0.01/0.48) = 0.1, so i_e itself bounds i_e, with the same margin
+    rates = np.array([[0.01] * 3, [0.1] * 3, [0.5] * 3])
+    peak = 0.1 + np.array([1.1e-7, 0.9e-7, 0.0])
+    ix = np.full(3, 0.01)
+    assert _settled(peak, s, ie, ix, rates, DEFAULT_HORIZON * 16).tolist() == [True, False, False]
+    # here X's term wins: i_x rises towards beta_x*s/gamma = 0.1 and feeds i_e up to
+    # E = 0.25*0.5*0.1/(0.5 - 0.25*0.5) = 1/30, far below s + i_e = 0.51
+    s, ie, ix = np.full(3, 0.5), np.full(3, 0.01), np.zeros(3)
+    rates = np.array([[0.1] * 3, [0.25] * 3, [0.5] * 3])
+    peak = 1.0 / 30.0 + np.array([1e-6, 0.0, -1e-6])
+    assert _settled(peak, s, ie, ix, rates, DEFAULT_HORIZON * 16).tolist() == [True, False, False]
+
+
+def test_subcritical_bound_holds_at_every_stage():
+    # at the guard's edge dt*L = 0.4, one RK4 step from a state with i_x <= X and i_e <= E
+    # keeps every stage, and the result, within X and E (up to rounding), including states
+    # sitting exactly on both bounds; far past the guard the bound breaks
+    dt = 0.1
+    rng = np.random.default_rng(12)
+    count = 20_000
+    shares = rng.dirichlet([0.3, 0.3, 0.3], count)
+    shares[rng.random(count) < 0.1, 0] = 0.0  # no exogenous channel
+    rates = shares / shares.sum(axis=1, keepdims=True) * (SETTLE_DT_RATES / dt)
+    rates *= 1.0 - 1e-12
+    assert _settle_eligible(rates, dt).all()
+    bx, be, g = rates.T
+    s = rng.uniform(0.0, 1.0, count) * np.minimum(1.0, g / np.maximum(be, 1e-300))
+    c = g - be * s
+    assert (c > 0.0).all()
+    on_bound = rng.random((count, 2)) < 0.5
+    x_star = bx * s / g
+    ix = np.where(on_bound[:, 0], x_star, x_star * rng.uniform(0.0, 2.0, count))
+    X = np.maximum(ix, x_star)
+    e_star = be * s * X / c
+    ie = np.where(on_bound[:, 1], e_star, e_star * rng.uniform(0.0, 2.0, count))
+    E = np.maximum(ie, e_star)
+    # scale into the simplex where needed: X stays max(i_x, beta_x*s/gamma), and E a valid,
+    # if looser, bound, as c only grows when s shrinks
+    total = s + ie + ix
+    shrink = np.where(total > 1.0, 1.0 / total, 1.0)
+    s, ie, ix, X, E = (v * shrink for v in (s, ie, ix, X, E))
+    r = 1.0 - s - ie - ix
+    states = np.column_stack([s, ie, ix, r])
+    stages, result = _rk4_stages(rates, states, dt)
+    stages.append(result)
+
+    def excess(stages, E=E):
+        return max(max(float((st[2] - X).max()), float((st[1] - E).max())) for st in stages)
+
+    assert excess(stages) <= 1e-15
+    # with i_x in place of X, i_e outgrows the bound where i_x is still rising
+    assert excess(stages, np.maximum(ie, be * s * ix / (g - be * s))) > 1e-6
+    stages, result = _rk4_stages(rates * 10.0, states, dt)
+    assert excess(stages + [result]) > 1e-6
 
 
 def test_run_sweep_empty_batch():
-    assert run_sweep(np.zeros((0, 3))) == []
+    peak, tick = run_sweep(np.zeros((0, 3)))
+    assert peak.shape == tick.shape == (0,)
 
 
 def test_run_sweep_late_error_after_runs_settle():
@@ -171,22 +281,20 @@ def test_run_sweep_rejects_bad_input():
 
 
 def test_scale_log_peaks_examples():
-    samples = [SweepSample(0.1, 0.2, 0.3, math.exp(v), 0) for v in (1.0, 2.0, 3.0)]
-    scaled = [s.log_peak_scaled for s in scale_log_peaks(samples)]
-    assert scaled == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
+    scaled = scale_log_peaks(np.array([math.exp(v) for v in (1.0, 2.0, 3.0)]))
+    assert scaled.tolist() == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
 
-    single = scale_log_peaks([SweepSample(0.1, 0.2, 0.3, 0.5, 0)])
-    assert single[0].log_peak_scaled == 0.0
+    single = scale_log_peaks(np.array([0.5]))
+    assert single[0] == 0.0
 
     with pytest.raises(ScalingDomainError):
-        scale_log_peaks([SweepSample(0.1, 0.2, 0.3, 0.0, 0)])
+        scale_log_peaks(np.array([0.0]))
 
 
 def test_scale_log_peaks_preserves_order():
     rng = np.random.default_rng(8)
     values = rng.uniform(1e-6, 0.9, 100)
-    samples = [SweepSample(0.1, 0.2, 0.3, float(v), 0) for v in values]
-    scaled = np.array([s.log_peak_scaled for s in scale_log_peaks(samples)])
+    scaled = scale_log_peaks(values)
     assert (np.argsort(scaled) == np.argsort(values)).all()
     assert scaled[int(np.argmin(values))] == 0.0
     assert scaled[int(np.argmax(values))] == 1.0
@@ -194,19 +302,20 @@ def test_scale_log_peaks_preserves_order():
 
 
 def _samples_with_response(rng, count, response):
-    out = []
-    for _ in range(count):
+    """(triples, scaled log peaks) with each response computed from its (beta_e, beta_x, gamma)."""
+    triples = np.empty((count, 3))
+    y = np.empty(count)
+    for k in range(count):
         bx, be, g = rng.uniform(0.05, 1.0, 3)
-        y = response(be, bx, g)
-        out.append(SweepSample(float(bx), float(be), float(g), 0.1, 5,
-                               log_peak_scaled=float(y)))
-    return out
+        triples[k] = bx, be, g
+        y[k] = response(be, bx, g)
+    return triples, y
 
 
 def test_fit_ols_recovers_exact_linear_data():
     rng = np.random.default_rng(21)
-    samples = _samples_with_response(rng, 60, lambda be, bx, g: 0.5 * be + 0.0 * bx - 0.3 * g)
-    report = fit_ols(samples)
+    triples, y = _samples_with_response(rng, 60, lambda be, bx, g: 0.5 * be + 0.0 * bx - 0.3 * g)
+    report = fit_ols(triples, y)
     assert report.coefficients["beta_e"] == pytest.approx(0.5, abs=1e-10)
     assert report.coefficients["beta_x"] == pytest.approx(0.0, abs=1e-10)
     assert report.coefficients["gamma"] == pytest.approx(-0.3, abs=1e-10)
@@ -218,16 +327,18 @@ def test_fit_ols_preconditions():
     rng = np.random.default_rng(3)
     few = _samples_with_response(rng, 4, lambda be, bx, g: be)
     with pytest.raises(ParameterError):
-        fit_ols(few)
-    unscaled = [SweepSample(0.1, 0.2, 0.3, 0.5, 1) for _ in range(6)]
+        fit_ols(*few)
+    unscaled = np.tile([0.1, 0.2, 0.3], (6, 1)), np.full(6, np.nan)
     with pytest.raises(ParameterError):
-        fit_ols(unscaled)
+        fit_ols(*unscaled)
+    triples, y = _samples_with_response(rng, 6, lambda be, bx, g: be)
+    with pytest.raises(ParameterError):
+        fit_ols(triples, y[:5])
 
 
 def test_fit_ols_reports_sample_count():
     rng = np.random.default_rng(4)
-    samples = _samples_with_response(rng, 40, lambda be, bx, g: be - g + 0.01 * bx)
-    report = fit_ols(samples)
+    report = fit_ols(*_samples_with_response(rng, 40, lambda be, bx, g: be - g + 0.01 * bx))
     assert report.n == 40
     for name in ("intercept", "beta_e", "beta_x", "gamma"):
         low, high = report.ci_95[name]
