@@ -72,22 +72,17 @@ def cmd_simulate(args) -> int:
         s0 = args.s0 if args.s0 is not None else 1.0 - args.ie0 - args.ix0 - args.r0
         initial = _initial_state(s0, args.ie0, args.ix0, args.r0)
         traj = integrate(exo_sir_rhs, initial, params, args.dt, args.steps)
-        rows = zip(traj.times, traj.s, traj.i_e, traj.i_x, traj.r)
         _write(os.path.join(out, "trajectory.csv"),
-               csv_text(("t", "s", "i_e", "i_x", "r"),
-                        ((float(t), float(s), float(ie), float(ix), float(r))
-                         for t, s, ie, ix, r in rows)))
+               csv_columns_text(("t", "s", "i_e", "i_x", "r"),
+                                (traj.times, traj.s, traj.i_e, traj.i_x, traj.r)))
         peaks = {name: _peak_dict(peak_of(traj, name)) for name in ("i_e", "i_x", "i")}
     else:
         s0 = args.s0 if args.s0 is not None else 1.0 - args.i0 - args.r0
         _initial_state(s0, args.i0, 0.0, args.r0)  # SIR is the exo state with i_x = 0
         traj = integrate_sir((s0, args.i0, args.r0), (args.beta_e, args.gamma),
                              args.dt, args.steps)
-        rows = zip(traj.times, traj.s, traj.i, traj.r)
         _write(os.path.join(out, "trajectory.csv"),
-               csv_text(("t", "s", "i", "r"),
-                        ((float(t), float(s), float(i), float(r))
-                         for t, s, i, r in rows)))
+               csv_columns_text(("t", "s", "i", "r"), (traj.times, traj.s, traj.i, traj.r)))
         tick = int(np.argmax(traj.i))
         peaks = {"i": {"peak_value": float(traj.i[tick]), "peak_tick": tick,
                        "peak_time": float(traj.times[tick])}}
@@ -175,8 +170,7 @@ def cmd_fit(args) -> int:
     }))
     for name, traj in (("with_ix", with_traj), ("without_ix", without_traj)):
         _write(os.path.join(out, f"{name}.csv"),
-               csv_text(("t", "i_e"),
-                        ((float(t), float(ie)) for t, ie in zip(traj.times, traj.i_e))))
+               csv_columns_text(("t", "i_e"), (traj.times, traj.i_e)))
     return 0
 
 

@@ -97,6 +97,28 @@ def parse_date(text: str, fallbacks=DEFAULT_DATE_FALLBACKS) -> dt.date:
     raise ValueError(f"unparseable date {text!r}")
 
 
+def _fieldnames(reader: csv.DictReader, where: str):
+    """The header row; one the csv module cannot read is a schema error."""
+    try:
+        return reader.fieldnames
+    except csv.Error as exc:
+        raise SchemaError(f"{where} row 1: {exc}") from None
+
+
+def _numbered_rows(reader: csv.DictReader, where: str):
+    """(row number, row) per data row, the header being row 1.
+
+    A row the csv module cannot read (a bare carriage return in an unquoted
+    field, an oversized field) is a schema error naming the row.
+    """
+    row_number = 1
+    try:
+        for row_number, row in enumerate(reader, start=2):
+            yield row_number, row
+    except csv.Error as exc:
+        raise SchemaError(f"{where} row {row_number + 1}: {exc}") from None
+
+
 def _header_map(fieldnames, required, where: str) -> dict[str, str]:
     """Case-insensitive lookup of required column names; extras are ignored."""
     if not fieldnames:
@@ -118,11 +140,11 @@ def parse_raw_cases(stream, date_fallbacks=DEFAULT_DATE_FALLBACKS
     unparseable dates go to the rejects report.
     """
     reader = csv.DictReader(stream)
-    cols = _header_map(reader.fieldnames, ("DateAnnounced", "DetectedState", "TypeOfTransmission"),
-                       "raw cases")
+    cols = _header_map(_fieldnames(reader, "raw cases"),
+                       ("DateAnnounced", "DetectedState", "TypeOfTransmission"), "raw cases")
     report = IngestReport()
     records = []
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in _numbered_rows(reader, "raw cases"):
         raw_date = (row.get(cols["DateAnnounced"]) or "").strip()
         state = (row.get(cols["DetectedState"]) or "").strip()
         transmission = (row.get(cols["TypeOfTransmission"]) or "").strip().capitalize()
@@ -151,11 +173,12 @@ def parse_states_daily(stream, state_codes, date_fallbacks=DEFAULT_DATE_FALLBACK
     """
     state_codes = tuple(code.lower() for code in state_codes)
     reader = csv.DictReader(stream)
-    cols = _header_map(reader.fieldnames, ("date", "status") + state_codes, "states daily")
+    cols = _header_map(_fieldnames(reader, "states daily"), ("date", "status") + state_codes,
+                       "states daily")
     report = IngestReport()
     seen: set[tuple[dt.date, str]] = set()
     table: dict[str, dict[dt.date, dict[str, int]]] = {code: {} for code in state_codes}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in _numbered_rows(reader, "states daily"):
         status = (row.get(cols["status"]) or "").strip().lower()
         try:
             date = parse_date((row.get(cols["date"]) or ""), date_fallbacks)
@@ -193,11 +216,12 @@ def parse_event_counts(stream, date_fallbacks=DEFAULT_DATE_FALLBACKS
     """Per-day event-linked counts from a date,count file; empty input is valid."""
     reader = csv.DictReader(stream)
     report = IngestReport()
-    if not reader.fieldnames:
+    fieldnames = _fieldnames(reader, "event counts")
+    if not fieldnames:
         return {}, report
-    cols = _header_map(reader.fieldnames, ("date", "count"), "event counts")
+    cols = _header_map(fieldnames, ("date", "count"), "event counts")
     events: dict[dt.date, int] = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in _numbered_rows(reader, "event counts"):
         try:
             date = parse_date((row.get(cols["date"]) or ""), date_fallbacks)
             count = int((row.get(cols["count"]) or "").strip())
@@ -321,9 +345,10 @@ def write_observed_csv(series: ObservedSeries) -> str:
 def read_observed_csv(stream, state: str, population_n: int) -> ObservedSeries:
     """Parse a canonical ObservedSeries CSV back into a structure."""
     reader = csv.DictReader(stream)
-    cols = _header_map(reader.fieldnames, OBSERVED_HEADER, "observed series")
+    cols = _header_map(_fieldnames(reader, "observed series"), OBSERVED_HEADER,
+                       "observed series")
     rows = []
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in _numbered_rows(reader, "observed series"):
         fields = [row[cols[name]] for name in OBSERVED_HEADER]
         if None in fields:
             raise SchemaError(f"observed series row {row_number}: too few fields")
@@ -334,16 +359,19 @@ def read_observed_csv(stream, state: str, population_n: int) -> ObservedSeries:
     rows.sort(key=lambda r: r[0])
     if not rows:
         raise SchemaError("observed series has no rows")
-    return ObservedSeries(
-        state=state,
-        dates=tuple(r[0] for r in rows),
-        daily_confirmed=tuple(r[1] for r in rows),
-        daily_recovered=tuple(r[2] for r in rows),
-        daily_deceased=tuple(r[3] for r in rows),
-        daily_imported=tuple(r[4] for r in rows),
-        daily_event_linked=tuple(r[5] for r in rows),
-        population_n=population_n,
-    )
+    try:
+        return ObservedSeries(
+            state=state,
+            dates=tuple(r[0] for r in rows),
+            daily_confirmed=tuple(r[1] for r in rows),
+            daily_recovered=tuple(r[2] for r in rows),
+            daily_deceased=tuple(r[3] for r in rows),
+            daily_imported=tuple(r[4] for r in rows),
+            daily_event_linked=tuple(r[5] for r in rows),
+            population_n=population_n,
+        )
+    except ParameterError as exc:  # a gap or a repeated date in the file
+        raise SchemaError(f"observed series: {exc}") from None
 
 
 def load_populations(path) -> dict[str, int]:

@@ -75,6 +75,40 @@ def test_simulate_artifacts_match_golden_digests(tmp_path, model):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of summary.csv as written by the per-rep network loop, before the
+# grid was batched: the two network commands of the benchmark's `batch`
+# workload at seeds 25 and 26, the paper default, m=2 and m=3 grids and a run
+# capped by --max-ticks. The batched engine must keep every one of them.
+_GRID = ["--beta-x", "0.1,0.5,0.9", "--beta-e", "0.1,0.5,0.9", "--gamma", "0.1,0.5,0.9"]
+_LARGE = ["--n", "4000", "--m", "2", "--reps", "1", "--max-ticks", "30",
+          "--beta-x", "0.002", "--beta-e", "0.3", "--gamma", "0.1"]
+GOLDEN_NETWORK = {
+    "grid-25": ([*_GRID, "--n", "150", "--m", "1", "--reps", "1", "--seed", "25"],
+                "47a0e1629aebc8209339c47790a3dd4695259c12b944289531107dad7619fb53"),
+    "grid-26": ([*_GRID, "--n", "150", "--m", "1", "--reps", "1", "--seed", "26"],
+                "c1fb69a0ffc1190a1ff6f5aa315c7a25b24b70a1a14a853d65bb548f6b590f6a"),
+    "large-25": ([*_LARGE, "--seed", "25"],
+                 "898a6801c0ec4fa790114ac107e56ebbe9b59ed3dbf461d361ed69aa947a8223"),
+    "large-26": ([*_LARGE, "--seed", "26"],
+                 "5ee8ed7c7996b7f45caf118803aa95d9151aee6bb2bd727814d578961ee54534"),
+    "default": (["--seed", "11", "--reps", "50"],
+                "40a258d85b570a8d4c25f30c9ad44e34f9ceaaa480adcb3b6f9d57a2988962f4"),
+    "m2": (["--n", "40", "--m", "2", "--reps", "3", "--max-ticks", "300", "--seed", "7"],
+           "16145399f6f9f87263c25600634899d3b69e7d701ada874c42ebca969c492c86"),
+    "m3": (["--n", "30", "--m", "3", "--reps", "2", "--max-ticks", "300", "--seed", "8"],
+           "db7cc2bbeb48de090a140a4c5b9907bcc1dd39ed612e581f89b885b6446a1dbe"),
+    "capped": (["--n", "60", "--m", "1", "--reps", "4", "--max-ticks", "5", "--seed", "9"],
+               "544451d16ca0df1fe326ba3ad6ef1c3da715649511ebd4f2203f6a981d9604a6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_NETWORK))
+def test_network_summary_matches_golden_digest(tmp_path, case):
+    flags, digest = GOLDEN_NETWORK[case]
+    assert main(["network", *flags, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest() == digest
+
+
 def test_usage_errors_exit_1(tmp_path):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

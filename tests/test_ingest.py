@@ -4,8 +4,10 @@ import datetime as dt
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exosir.errors import (ConfigError, DuplicateDateError, NegativeCountError,
+from exosir.errors import (ConfigError, DataError, DuplicateDateError, NegativeCountError,
                            ParameterError, SchemaError)
 from exosir.ingest import (OBSERVED_HEADER, ObservedSeries, build_observed,
                            load_populations, merge_event_counts, parse_date,
@@ -248,3 +250,44 @@ def test_bom_input_parses(tmp_path):
     with open(path, encoding="utf-8-sig", newline="") as fh:
         records, report = parse_raw_cases(fh)
     assert len(records) == 1 and not report.rejects
+
+
+_PARSERS = {
+    "raw cases": parse_raw_cases,
+    "states daily": lambda stream: parse_states_daily(stream, ("kl",)),
+    "event counts": parse_event_counts,
+    "observed series": lambda stream: read_observed_csv(stream, "kl", 1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARSERS))
+def test_bare_carriage_return_is_a_schema_error_naming_the_row(name):
+    # a stream opened without newline="" leaves a lone \r inside a row
+    header = {"raw cases": "DateAnnounced,DetectedState,TypeOfTransmission",
+              "states daily": "date,status,kl", "event counts": "date,count",
+              "observed series": ",".join(OBSERVED_HEADER)}[name]
+    text = header + "\n2020-02-09,1\r2020-02-11,1\n"
+    with pytest.raises(SchemaError, match=f"{name} row 2: new-line character"):
+        _PARSERS[name](io.StringIO(text))
+    with pytest.raises(SchemaError, match=f"{name} row 1"):
+        _PARSERS[name](io.StringIO("date\r,count\n"))
+
+
+_HEADERS = ("", "DateAnnounced,DetectedState,TypeOfTransmission\n", "date,status,kl\n",
+            "date,count\n", ",".join(OBSERVED_HEADER) + "\n")
+_PIECES = st.one_of(
+    st.sampled_from(["2020-02-10", "2020-02-11", "10/02/2020", "2020-02-30", "0", "7", "-3",
+                     "1_0", "9" * 40, "kl", "Kerala", "Imported", "confirmed", "recovered",
+                     ",", ",", "\n", "\r", "\r\n", '"', "\x00", " "]),
+    st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.builds(lambda head, body: head + "".join(body), st.sampled_from(_HEADERS),
+                      st.lists(_PIECES, max_size=40)))
+def test_parsers_return_a_result_or_raise_data_error(text):
+    for parse in _PARSERS.values():
+        try:
+            parse(io.StringIO(text))
+        except DataError:
+            pass

@@ -1,8 +1,11 @@
 """Contact-network generation and the stochastic agent-based runs."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from exosir import network
 from exosir.errors import ParameterError
 from exosir.model import ModelParams
 from exosir.network import (ContactGraph, NodeStatus, generate_ba_graph,
@@ -240,3 +243,119 @@ def test_run_experiment_deterministic():
     kwargs = dict(base_seed=17, reps=3, n=30, m=1, max_ticks=200,
                   beta_x_axis=(0.1, 0.5), beta_e_axis=(0.5,), gamma_axis=(0.5,))
     assert run_experiment(**kwargs) == run_experiment(**kwargs)
+
+
+# --- the batched engine against the per-rep loop it replaced ---
+
+def _reference_step(neighbors, statuses, params, rng):
+    """The agent step as first written: three random(n) calls and 1-(1-beta_e)**k."""
+    n = len(neighbors)
+    infected = (statuses == IE) | (statuses == IX)
+    susceptible = statuses == S
+    k = np.array([any(infected[j] for j in nbrs) for nbrs in neighbors], dtype=bool)
+    u_exo = rng.random(n)
+    u_endo = rng.random(n)
+    u_rec = rng.random(n)
+    exo_hit = susceptible & (u_exo < params.beta_x)
+    p_endo = 1.0 - (1.0 - params.beta_e) ** k
+    endo_hit = susceptible & ~exo_hit & (u_endo < p_endo)
+    recovered = infected & (u_rec < params.gamma)
+    out = statuses.copy()
+    out[exo_hit] = IX
+    out[endo_hit] = IE
+    out[recovered] = R
+    return out
+
+
+def _reference_run(neighbors, params, rng, max_ticks, statuses=None):
+    """Per-tick endo and exo counts of one run, stepped until extinction or the cap."""
+    if statuses is None:
+        statuses = np.full(len(neighbors), S, dtype=np.int8)
+    endo = [int((statuses == IE).sum())]
+    exo = [int((statuses == IX).sum())]
+    for _ in range(max_ticks):
+        statuses = _reference_step(neighbors, statuses, params, rng)
+        endo.append(int((statuses == IE).sum()))
+        exo.append(int((statuses == IX).sum()))
+        if endo[-1] + exo[-1] == 0:
+            break
+    return np.array(endo), np.array(exo)
+
+
+def _reference_experiment(base_seed, reps, n, m, max_ticks, axes):
+    """(beta_x, beta_e, gamma, four mean peak statistics, reps) per combination."""
+    rows = []
+    for ci, (bx, be, g) in enumerate(itertools.product(*axes)):
+        peaks = []
+        for rep in range(reps):
+            rng = np.random.default_rng(np.random.SeedSequence([base_seed, ci, rep]))
+            neighbors = _reference_neighbors(n, m, rng)
+            endo, exo = _reference_run(neighbors, ModelParams(bx, be, g), rng, max_ticks)
+            peaks.append((endo.max(), endo.argmax(), exo.max(), exo.argmax()))
+        rows.append((bx, be, g, *(float(v) for v in np.mean(peaks, axis=0)), reps))
+    return rows
+
+
+_AXES = ((0.03, 0.4), (0.25, 0.77, 1.0), (0.0, 0.15, 0.9))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("reps", [1, 2, 3])
+def test_run_experiment_matches_per_rep_reference(m, reps):
+    # n = m + 1 grows no node; max_ticks 4 caps runs that are still going
+    for n, max_ticks in ((m + 1, 60), (m + 5, 4), (30, 300)):
+        got = [(c.beta_x, c.beta_e, c.gamma, c.mean_endo_peak_value, c.mean_endo_peak_tick,
+                c.mean_exo_peak_value, c.mean_exo_peak_tick, c.reps)
+               for c in run_experiment(base_seed=5 + m, reps=reps, n=n, m=m,
+                                       max_ticks=max_ticks, beta_x_axis=_AXES[0],
+                                       beta_e_axis=_AXES[1], gamma_axis=_AXES[2])]
+        assert got == _reference_experiment(5 + m, reps, n, m, max_ticks, _AXES)
+
+
+@pytest.mark.parametrize("batch_nodes, ahead_doubles", [(1, 1), (100, 500), (10**6, 10**6)])
+def test_run_experiment_independent_of_batch_and_block_sizes(monkeypatch, batch_nodes,
+                                                             ahead_doubles):
+    # one graph per batch and one tick per refill, up to everything at once
+    monkeypatch.setattr(network, "_BATCH_NODES", batch_nodes)
+    monkeypatch.setattr(network, "_DRAW_AHEAD_DOUBLES", ahead_doubles)
+    got = [(c.beta_x, c.beta_e, c.gamma, c.mean_endo_peak_value, c.mean_endo_peak_tick,
+            c.mean_exo_peak_value, c.mean_exo_peak_tick, c.reps)
+           for c in run_experiment(base_seed=9, reps=3, n=25, m=1, max_ticks=500,
+                                   beta_x_axis=_AXES[0], beta_e_axis=_AXES[1],
+                                   gamma_axis=_AXES[2])]
+    assert got == _reference_experiment(9, 3, 25, 1, 500, _AXES)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_run_simulation_draws_exactly_three_uniforms_per_node_per_tick(m):
+    # a caller's generator ends where the per-tick reference leaves it, so
+    # nothing is drawn ahead; the start may hold infected nodes
+    for seed in range(12):
+        n = m + 1 + 3 * seed
+        graph = generate_ba_graph(n, m, seed=seed)
+        params = ModelParams(beta_x=0.02 * seed, beta_e=0.6, gamma=0.3)
+        start = None if seed % 2 else np.arange(n, dtype=np.int8) % 4
+        max_ticks = 3 if seed % 3 == 0 else 1000
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcome = run_simulation(graph, params, ours, max_ticks=max_ticks,
+                                 initial_statuses=start)
+        endo, exo = _reference_run(graph.neighbors, params, reference, max_ticks,
+                                   None if start is None else start.copy())
+        np.testing.assert_array_equal(outcome.endo_series, endo)
+        np.testing.assert_array_equal(outcome.exo_series, exo)
+        assert outcome.endo_peak.peak_tick == int(np.argmax(endo))
+        assert outcome.exo_peak.peak_value == float(exo.max())
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_step_matches_reference_step():
+    graph = generate_ba_graph(50, 2, seed=21)
+    statuses = np.arange(50, dtype=np.int8) % 4
+    ours, reference = np.random.default_rng(22), np.random.default_rng(22)
+    for beta_e in (0.0, 0.3, 0.77, 1.0):
+        params = ModelParams(beta_x=0.1, beta_e=beta_e, gamma=0.4)
+        got = step(graph, statuses, params, ours)
+        np.testing.assert_array_equal(
+            got, _reference_step(graph.neighbors, statuses, params, reference))
+        assert ours.bit_generator.state == reference.bit_generator.state
+        statuses = np.where(got == R, S, got).astype(np.int8)
