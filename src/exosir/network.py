@@ -27,9 +27,6 @@ from .model import ModelParams, PeakStats
 DEFAULT_GRID_AXIS = (0.1, 0.5, 0.9)
 DEFAULT_MAX_TICKS = 1000
 
-# Uniforms one refill of a run batch may draw ahead (at least one tick's).
-# 2**16 ran no faster and raised the benchmark's peak RSS by about 0.9 MB.
-_DRAW_AHEAD_DOUBLES = 1 << 14
 # Nodes in one batch of run_experiment. It bounds the engine's arrays (a few
 # MB) whatever the number of reps; the default grid at 2**18 nodes, one
 # batch, ran no faster and peaked 28 MB higher.
@@ -295,58 +292,41 @@ def _flat_edges(owner: np.ndarray, neighbor: np.ndarray, n: int):
 
 
 def _run_batch(statuses: np.ndarray, owner: np.ndarray, neighbor: np.ndarray,
-               rates: np.ndarray, rngs: list, max_ticks: int, draw_ahead: bool):
+               rates: np.ndarray, rngs: list, max_ticks: int):
     """Run each row of statuses until it has no infected node (checked from tick 1)
     or max_ticks, all rows in lockstep.
 
     Row r runs on the graph of owner[r], neighbor[r] (node indices), with
     rates[r] (see _tick_rates) and its own generator rngs[r], which gives it
-    three uniforms per node per tick. Returns the InfectedEndo and
+    exactly three uniforms per node per tick: rng.random(out=u[r]) is the
+    same stream as three random(n) calls. Returns the InfectedEndo and
     InfectedExo counts per tick and row, shape (2, ticks + 1, rows), 0 after
-    a row's run has ended. Rows that have ended leave the batch at the next
-    refill.
-
-    With draw_ahead, each refill draws the uniforms of several ticks per row,
-    up to _DRAW_AHEAD_DOUBLES per refill: rng.random(out=block[r]) is the
-    same stream as that many ticks of three random(n) calls. Uniforms drawn
-    past a run's last tick are left unused, so a generator may end further
-    along its stream than one tick at a time would leave it. That is safe
-    only for generators nothing reads afterwards, like run_experiment's
-    per-rep ones; without draw_ahead a row draws exactly 3n per tick.
+    a row's run has ended. A row leaves the batch after its last tick, so its
+    generator is left where a run on its own would leave it.
     """
     runs, n = statuses.shape
     live = np.arange(runs)  # the run of each batch row
-    running = np.ones(runs, dtype=bool)
     history = [_infected_counts(statuses)]
     flat_owner, flat_neighbor = _flat_edges(owner, neighbor, n)
     columns = rates.T[:, :, None]  # beta_x, p_endo, gamma as (rows, 1) columns
-    block = np.empty((runs, 0, 3, n))
-    used = 0
-    for tick in range(1, max_ticks + 1):
-        if used == block.shape[1]:
-            # Rows that have ended leave the batch here, where no drawn-ahead
-            # uniforms of theirs remain to be kept aligned.
-            if not running.all():
-                live, statuses, owner, neighbor, rates = (
-                    a[running] for a in (live, statuses, owner, neighbor, rates))
-                rngs = list(itertools.compress(rngs, running))
-                running = running[running]
-                flat_owner, flat_neighbor = _flat_edges(owner, neighbor, n)
-                columns = rates.T[:, :, None]
-            ahead = max(1, _DRAW_AHEAD_DOUBLES // (3 * n * live.size)) if draw_ahead else 1
-            block = np.empty((live.size, min(ahead, max_ticks - tick + 1), 3, n))
-            for row, rng in zip(block, rngs):
-                rng.random(out=row)
-            used = 0
-        statuses = _tick(statuses, flat_owner, flat_neighbor, block[:, used], *columns)
-        used += 1
-        counts = _infected_counts(statuses) * running
+    for _ in range(max_ticks):
+        u = np.empty((live.size, 3, n))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        statuses = _tick(statuses, flat_owner, flat_neighbor, u, *columns)
+        counts = _infected_counts(statuses)
         recorded = np.zeros((2, runs), dtype=np.int64)
         recorded[:, live] = counts
         history.append(recorded)
-        running &= counts.any(axis=0)
-        if not running.any():
-            break
+        running = counts.any(axis=0)
+        if not running.all():
+            if not running.any():
+                break
+            live, statuses, owner, neighbor, rates = (
+                a[running] for a in (live, statuses, owner, neighbor, rates))
+            rngs = list(itertools.compress(rngs, running))
+            flat_owner, flat_neighbor = _flat_edges(owner, neighbor, n)
+            columns = rates.T[:, :, None]
     return np.stack(history, axis=1)
 
 
@@ -380,8 +360,7 @@ def run_simulation(graph: ContactGraph, params: ModelParams, rng: np.random.Gene
             raise ParameterError(f"initial_statuses must have shape ({graph.n},)")
     owner, neighbor = graph._edge_arrays
     endo, exo = _run_batch(statuses[None], owner[None], neighbor[None],
-                           np.array([_tick_rates(params)]), [rng], max_ticks,
-                           draw_ahead=False)
+                           np.array([_tick_rates(params)]), [rng], max_ticks)
     (endo_value,), (endo_tick,) = _peaks(endo)
     (exo_value,), (exo_tick,) = _peaks(exo)
     return SimOutcome(
@@ -418,15 +397,12 @@ def run_experiment(base_seed: int, reps: int = 50, n: int = 150, m: int = 1,
     size = max(1, _BATCH_NODES // n)
     for start in range(0, len(jobs), size):
         batch = jobs[start:start + size]
-        # Each generator is private to its rep and nothing reads it after the
-        # rep's run, so _run_batch may draw ahead on it.
         rngs = [np.random.default_rng(np.random.SeedSequence([base_seed, ci, rep]))
                 for ci, rep in batch]
         owner, neighbor = _grow_ba_edges(n, m, rngs)
         rates = np.array([_tick_rates(grid[ci]) for ci, _ in batch])
         statuses = np.full((len(batch), n), _S, dtype=np.int8)
-        endo, exo = _run_batch(statuses, owner, neighbor, rates, rngs, max_ticks,
-                               draw_ahead=True)
+        endo, exo = _run_batch(statuses, owner, neighbor, rates, rngs, max_ticks)
         done = slice(start, start + len(batch))
         peaks[0, done], peaks[1, done] = _peaks(endo)
         peaks[2, done], peaks[3, done] = _peaks(exo)

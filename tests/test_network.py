@@ -312,12 +312,10 @@ def test_run_experiment_matches_per_rep_reference(m, reps):
         assert got == _reference_experiment(5 + m, reps, n, m, max_ticks, _AXES)
 
 
-@pytest.mark.parametrize("batch_nodes, ahead_doubles", [(1, 1), (100, 500), (10**6, 10**6)])
-def test_run_experiment_independent_of_batch_and_block_sizes(monkeypatch, batch_nodes,
-                                                             ahead_doubles):
-    # one graph per batch and one tick per refill, up to everything at once
+@pytest.mark.parametrize("batch_nodes", [1, 100, 10**6])
+def test_run_experiment_independent_of_batch_size(monkeypatch, batch_nodes):
+    # one graph per batch, up to everything at once
     monkeypatch.setattr(network, "_BATCH_NODES", batch_nodes)
-    monkeypatch.setattr(network, "_DRAW_AHEAD_DOUBLES", ahead_doubles)
     got = [(c.beta_x, c.beta_e, c.gamma, c.mean_endo_peak_value, c.mean_endo_peak_tick,
             c.mean_exo_peak_value, c.mean_exo_peak_tick, c.reps)
            for c in run_experiment(base_seed=9, reps=3, n=25, m=1, max_ticks=500,
@@ -328,8 +326,8 @@ def test_run_experiment_independent_of_batch_and_block_sizes(monkeypatch, batch_
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_run_simulation_draws_exactly_three_uniforms_per_node_per_tick(m):
-    # a caller's generator ends where the per-tick reference leaves it, so
-    # nothing is drawn ahead; the start may hold infected nodes
+    # a caller's generator ends where the per-tick reference leaves it; the
+    # start may hold infected nodes
     for seed in range(12):
         n = m + 1 + 3 * seed
         graph = generate_ba_graph(n, m, seed=seed)
