@@ -153,18 +153,19 @@ def check_step_size(dt: float) -> None:
 
 
 def _check_step(values, step: int):
-    """Conservation and bounds checks for one integrated step; returns clamped values."""
+    """Conservation and bounds checks for one integrated step; returns clamped values.
+
+    Out-of-range values are clamped first and conservation is tested on the
+    clamped values, as _check_batch does per run, so the two decide every
+    step alike.
+    """
     s, ie, ix, r = values
     if (0.0 <= s <= 1.0 and 0.0 <= ie <= 1.0 and 0.0 <= ix <= 1.0 and 0.0 <= r <= 1.0
             and abs(s + ie + ix + r - 1.0) <= CONSERVATION_TOL):
         return values  # NaN fails every comparison above, so it takes the path below
-    total = 0.0
     for v in values:
         if not math.isfinite(v):
             raise IntegrationError("non-finite compartment", step)
-        total += v
-    if abs(total - 1.0) > CONSERVATION_TOL:
-        raise IntegrationError(f"conservation violated: sum={total!r}", step)
     out = []
     for v in values:
         if v < 0.0:
@@ -176,6 +177,9 @@ def _check_step(values, step: int):
                 raise IntegrationError(f"compartment overshoot {v!r}", step)
             v = 1.0
         out.append(v)
+    total = out[0] + out[1] + out[2] + out[3]
+    if abs(total - 1.0) > CONSERVATION_TOL:
+        raise IntegrationError(f"conservation violated: sum={total!r}", step)
     return out
 
 

@@ -157,16 +157,17 @@ def _tick_rates(params: ModelParams) -> tuple[float, float, float]:
     return params.beta_x, 1.0 - (1.0 - params.beta_e), params.gamma
 
 
-def _choose_distinct(rng: np.random.Generator, p: np.ndarray, size: int) -> list[int]:
+def _choose_distinct(rng: np.random.Generator, p: np.ndarray, size: int,
+                     x: np.ndarray) -> list[int]:
     """size distinct indices of p, drawn with probabilities p; p is overwritten.
 
     numpy's algorithm for rng.choice(len(p), size, replace=False, p=p), written
     out without its validation and np.unique: it consumes the same uniforms and
-    returns the same indices in the same order.
+    returns the same indices in the same order. x holds the first round's size
+    uniforms, already drawn from rng; later rounds draw from rng.
     """
     found: list[int] = []
-    while len(found) < size:
-        x = rng.random((size - len(found),))
+    while True:
         if found:
             p[found] = 0.0
         cdf = p.cumsum()
@@ -174,6 +175,47 @@ def _choose_distinct(rng: np.random.Generator, p: np.ndarray, size: int) -> list
         for t in cdf.searchsorted(x, side="right").tolist():
             if t not in found:
                 found.append(t)
+        if len(found) == size:
+            return found
+        x = rng.random((size - len(found),))
+
+
+# Certified pick for m >= 2. The first round of _choose_distinct at arriving node
+# `new` has degrees d_i (whole numbers) of nodes i < new summing to T, and picks
+# t = searchsorted(cdf, u, "right") on cdf_k = fl(c_k/c_(new-1)), where c is the
+# sequential cumsum of p_i = fl(d_i/T). With e = 2^-53, D_k = d_0 + ... + d_k (exact
+# in float64 below 2^53), F_k = D_k/T and g = (new+1)e/(1 - (new+1)e):
+#   p_i = (d_i/T)(1 + a_i) with |a_i| <= e, and recursive summation gives
+#   c_k = sum_(i<=k) p_i(1 + b_i) with |b_i| <= new*e/(1 - new*e), so |c_k - F_k| <= g*F_k;
+#   c_(new-1) = 1 + h with |h| <= g, and the rounded quotient gives
+#   |cdf_k - F_k| <= ((1 + g)(1 + e)/(1 - g) - 1)*F_k <= (2*new + 4)*e for new < 2^40.
+# The comparisons cdf_k <= u are exact, and the float cdf is nondecreasing (each sum
+# adds a nonnegative term, the quotient divides by one positive number), so if
+# F_(t-1) + (2*new + 4)*e < u < F_t - (2*new + 4)*e, with F_(-1) = 0, every cdf_k with
+# k < t is <= u, every other is > u, and the pick is t. The fast path takes t from
+# y = fl(u*T) against the exact D, and accepts it if y - D_(t-1) and D_t - y both
+# exceed fl(delta*T) with delta = (2*new + 8)*_PICK_ULP, _PICK_ULP = 2^-51: the check
+# rounds u*T, the difference and delta*T once each, so it proves both distances
+# exceed delta*(1 - 3e) - e, still above (2*new + 4)*e. The accepted picks of a round
+# must also be distinct; otherwise the round is redone on the exact cdf. The search
+# runs over D_0..D_(new-2), so t <= new - 1 and D_t exists even for u near 1.
+_PICK_ULP = 2.0**-51
+
+
+def _certified_round(cum: np.ndarray, new: int, x: np.ndarray, total_degree: int):
+    """The first-round picks of _choose_distinct for uniforms x at arriving node new,
+    or None where the derivation above does not prove them.
+
+    cum holds the exact cumulative degrees: cum[k + 1] = D_k, cum[0] = 0.
+    """
+    y = x * total_degree
+    found = cum[1:new].searchsorted(y, side="right").tolist()
+    if len(set(found)) < len(found):
+        return None
+    slack = (2 * new + 8) * _PICK_ULP * total_degree
+    for t, v in zip(found, y.tolist()):
+        if not (v - cum.item(t) > slack and cum.item(t + 1) - v > slack):
+            return None
     return found
 
 
@@ -183,45 +225,52 @@ def _grow_ba_edges(n: int, m: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     Returns (owner, neighbor) node indices of shape (graphs, directed edges);
     row g holds the edges of the graph grown from rngs[g] alone, with the
     draws of one rng.choice(replace=False, p=degree share) per arriving node.
-    For m >= 2 those draws depend on the data (a duplicate is redrawn), so
-    each row calls _choose_distinct on its own generator. For m = 1 there is
-    one uniform per arriving node and never a redraw, so a row's uniforms are
-    drawn at once: rng.random(n - 2) is the same stream as n - 2 calls of
-    rng.random(1). The row-wise cumsum and normalisation are the per-graph
-    ones bit for bit, and on a sorted cdf the count of cdf <= u is
-    searchsorted(u, side="right").
+    For m = 1 there is one uniform per arriving node and never a redraw, so a
+    row's uniforms are drawn at once: rng.random(n - 2) is the same stream as
+    n - 2 calls of rng.random(1). The row-wise cumsum and normalisation are
+    the per-graph ones bit for bit, and on a sorted cdf the count of cdf <= u
+    is searchsorted(u, side="right"). For m >= 2 the draws depend on the data
+    (a duplicate is redrawn), so each row draws its m uniforms per node from
+    its own generator. A row keeps its exact cumulative degrees, and a pick
+    whose uniform lies clear of its interval's ends is certified equal to the
+    float cdf's (derivation above) in O(log n); the rest, and rounds with a
+    repeated pick, go through _choose_distinct on the same uniforms.
     """
     _require_sizes(n, m)
     graphs = len(rngs)
     arrivals = n - m - 1
-    # Whole numbers held as floats: exact, and the division below needs no cast.
+    # Whole numbers held as floats: exact, and the divisions below need no cast.
     # Every node has degree m when it arrives; later nodes are not read before.
-    degrees = np.full((graphs, n), float(m))
+    total_degree = m * (m + 1)
     if m == 1:
+        degrees = np.ones((graphs, n))
         uniforms = np.empty((graphs, arrivals))
         for row, rng in zip(uniforms, rngs):
             rng.random(out=row)
         row_starts = np.arange(graphs) * n
         flat_degrees = degrees.ravel()
         chosen = np.empty((graphs, arrivals), dtype=np.intp)
-    else:
-        picks: list[list[int]] = [[] for _ in rngs]
-    total_degree = m * (m + 1)
-    for new in range(m + 1, n):
-        if m == 1:
+        for new in range(2, n):
             cdf = (degrees[:, :new] / total_degree).cumsum(axis=1)
             cdf /= cdf[:, -1:]
             targets = (cdf <= uniforms[:, new - 2, None]).sum(axis=1)
             flat_degrees[row_starts + targets] += 1
             chosen[:, new - 2] = targets
-        else:
-            for rng, row, picked in zip(rngs, degrees, picks):
-                found = _choose_distinct(rng, row[:new] / total_degree, m)
+            total_degree += 2
+    else:
+        # cumulative[g, k + 1] = D_k, the degrees of nodes 0..k of graph g; cumulative[g, 0] = 0
+        cumulative = np.tile(np.arange(n + 1) * float(m), (graphs, 1))
+        picks: list[list[int]] = [[] for _ in rngs]
+        for new in range(m + 1, n):
+            for rng, cum, picked in zip(rngs, cumulative, picks):
+                x = rng.random((m,))
+                found = _certified_round(cum, new, x, total_degree)
+                if found is None:
+                    found = _choose_distinct(rng, np.diff(cum[:new + 1]) / total_degree, m, x)
                 for t in found:
-                    row[t] += 1
+                    cum[t + 1:] += 1.0
                 picked.extend(found)
-        total_degree += 2 * m
-    if m > 1:
+            total_degree += 2 * m
         chosen = np.array(picks, dtype=np.intp).reshape(graphs, arrivals * m)
     clique = np.array([(a, b) for a in range(m + 1) for b in range(m + 1) if a != b],
                       dtype=np.intp).reshape(-1, 2)

@@ -4,15 +4,17 @@ Thirty uniform draws per rate form a k^3 Cartesian grid; every triple is
 integrated from the standard initial counts (N=1,000,000 with S=999,996,
 I_x=3, I_e=1, R=0) and the i_e peak is extracted. A run leaves the batch
 once its peak can no longer be beaten; runs still rising at the horizon keep
-integrating, from where they are, to a doubled horizon.
+integrating, from where they are, to a doubled horizon. The last few runs are
+finished one at a time on Python floats, with the same steps and decisions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import HorizonError, ParameterError, ScalingDomainError
-from .model import UNDERSHOOT_TOL, _check_batch, _exo_sir_f, check_step_size, rk4_step
+from .errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
+from .model import (UNDERSHOOT_TOL, _check_batch, _check_step, _exo_sir_f, check_step_size,
+                    rk4_step)
 from .regression import RegressionReport, fit_linear
 
 SWEEP_INITIAL = (0.999996, 1e-6, 3e-6, 0.0)
@@ -92,6 +94,10 @@ SETTLE_EVERY = 16
 SETTLE_DT_RATES = 0.4
 SETTLE_STEP_SLACK = 3 * UNDERSHOOT_TOL
 
+# Runs left when the batch hands over to single runs on Python floats: a batch tick
+# costs about 120 us whatever its width, one run's scalar tick about 5.5 us.
+SCALAR_TAIL_RUNS = 20
+
 
 def sample_grid(k: int = DEFAULT_K, seed: int = DEFAULT_SEED) -> np.ndarray:
     """k i.i.d. uniform(0,1) levels per rate, expanded to the full k^3 grid.
@@ -149,6 +155,86 @@ def _check_rates(triples: np.ndarray) -> None:
                              f"got {value!r} (run {run})")
 
 
+def _horizon_error(triples: np.ndarray, runs, steps: int) -> HorizonError:
+    """The error for runs, in index order, whose i_e is still rising on the last tick."""
+    bx, be, g = (float(v) for v in triples[runs[0]])
+    return HorizonError(f"i_e still rising after {steps} steps (x{MAX_DOUBLINGS} doublings) "
+                        f"for beta_x={bx!r}, beta_e={be!r}, gamma={g!r} "
+                        f"({len(runs)} run(s) affected)")
+
+
+def _batch(state, triples, eligible, peak, ptick, dt: float, last_tick: int, stop: int):
+    """Step every active run as one batch until at most stop runs are left.
+
+    state is (tick, checkpoint, active, s, i_e, i_x, r, run_peak, run_tick): the last
+    tick done, the next checkpoint, the runs still in the batch (ascending) and their
+    columns. Returns the state at the first compaction that leaves at most stop runs;
+    runs that leave the batch store their peak and its tick in peak and ptick.
+    """
+    tick, checkpoint, active, s, ie, ix, r, run_peak, run_tick = state
+    rates = triples[active].T.copy()
+    f = _exo_sir_f(*rates)
+    while active.size > stop:
+        tick += 1
+        s, ie, ix, r = _check_batch(rk4_step(f, s, ie, ix, r, dt), tick)
+        better = ie > run_peak
+        run_peak = np.where(better, ie, run_peak)
+        run_tick = np.where(better, tick, run_tick)
+        if tick == checkpoint:
+            keep = run_tick == checkpoint
+            if keep.any() and checkpoint == last_tick:
+                raise _horizon_error(triples, active[keep], checkpoint)
+            checkpoint *= 2
+        elif tick % SETTLE_EVERY == 0:
+            keep = ~(eligible[active] & _settled(run_peak, s, ie, ix, rates, last_tick))
+        else:
+            continue
+        if keep.all():
+            continue
+        peak[active] = run_peak
+        ptick[active] = run_tick
+        active, s, ie, ix, r, run_peak, run_tick = (
+            a[keep] for a in (active, s, ie, ix, r, run_peak, run_tick))
+        rates = rates[:, keep]
+        f = _exo_sir_f(*rates)
+    return tick, checkpoint, active, s, ie, ix, r, run_peak, run_tick
+
+
+def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: int) -> list:
+    """Finish each run of a _batch state on Python floats, one run after another.
+
+    Every run takes the batch's steps, peak rule, settle ticks and checkpoints, and
+    _check_step decides each step as _check_batch does for that run. Stores the
+    peaks and ticks and returns the runs still rising on last_tick; raises the
+    first IntegrationError of a run, which need not be the batch's first.
+    """
+    start, first_checkpoint, active, *columns = state
+    rising = []
+    for run, s, ie, ix, r, run_peak, run_tick in zip(active.tolist(),
+                                                        *(c.tolist() for c in columns)):
+        rates = triples[run].tolist()
+        f = _exo_sir_f(*rates)
+        settles = bool(eligible[run])
+        tick, checkpoint = start, first_checkpoint
+        while True:
+            tick += 1
+            s, ie, ix, r = _check_step(rk4_step(f, s, ie, ix, r, dt), tick)
+            if ie > run_peak:
+                run_peak, run_tick = ie, tick
+            if tick == checkpoint:
+                if run_tick != checkpoint:
+                    break
+                if checkpoint == last_tick:
+                    rising.append(run)
+                    break
+                checkpoint *= 2
+            elif (tick % SETTLE_EVERY == 0 and settles
+                  and _settled(run_peak, s, ie, ix, rates, last_tick)):
+                break
+        peak[run], ptick[run] = run_peak, run_tick
+    return rising
+
+
 def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
               horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, np.ndarray]:
     """Integrate every triple as one batch and extract its i_e peak.
@@ -159,8 +245,14 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
     doubled up to 4 times) runs whose i_e peak lies before the checkpoint are
     dropped too; runs still rising on the checkpoint tick keep integrating
     from their current state. A peak still unbracketed after 4 doublings
-    raises HorizonError naming the triple. Dropping a run changes neither its
-    peak nor the errors of the batch.
+    raises HorizonError naming the lowest-index such triple. Dropping a run
+    changes neither its peak nor the errors of the batch.
+
+    Once at most SCALAR_TAIL_RUNS runs are left, a batch tick costs more than
+    stepping them one by one, so each is finished on Python floats by the same
+    rk4_step, step checks, peak rule, settle test and checkpoints. If one of
+    them fails, the batch reruns from the hand-off state and raises the
+    batch's own error, with its message and step.
     """
     triples = np.asarray(triples, dtype=float)
     if triples.ndim != 2 or triples.shape[1] != 3:
@@ -172,45 +264,25 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
     count = triples.shape[0]
     peak = np.empty(count)
     ptick = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
     s, ie, ix, r = (np.full(count, v) for v in SWEEP_INITIAL)
-    run_peak = ie.copy()
-    run_tick = np.zeros(count, dtype=np.int64)
-    rates = triples.T.copy()
-    tick = 0
-    checkpoint = horizon
+    state = (0, horizon, np.arange(count), s, ie, ix, r, ie.copy(),
+             np.zeros(count, dtype=np.int64))
     last_tick = horizon * 2**MAX_DOUBLINGS
     # _check_batch reports non-finite values, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         eligible = _settle_eligible(triples, dt)
-        f = _exo_sir_f(*rates)
-        while active.size:
-            tick += 1
-            s, ie, ix, r = _check_batch(rk4_step(f, s, ie, ix, r, dt), tick)
-            better = ie > run_peak
-            run_peak = np.where(better, ie, run_peak)
-            run_tick = np.where(better, tick, run_tick)
-            if tick == checkpoint:
-                keep = run_tick == checkpoint
-                if keep.any() and checkpoint == last_tick:
-                    bx, be, g = (float(v) for v in triples[active[keep][0]])
-                    raise HorizonError(
-                        f"i_e still rising after {checkpoint} steps (x{MAX_DOUBLINGS} doublings) "
-                        f"for beta_x={bx!r}, beta_e={be!r}, gamma={g!r} "
-                        f"({int(keep.sum())} run(s) affected)")
-                checkpoint *= 2
-            elif tick % SETTLE_EVERY == 0:
-                keep = ~(eligible[active] & _settled(run_peak, s, ie, ix, rates, last_tick))
-            else:
-                continue
-            if keep.all():
-                continue
-            peak[active] = run_peak
-            ptick[active] = run_tick
-            active, s, ie, ix, r, run_peak, run_tick = (
-                a[keep] for a in (active, s, ie, ix, r, run_peak, run_tick))
-            rates = rates[:, keep]
-            f = _exo_sir_f(*rates)
+        args = (triples, eligible, peak, ptick, dt, last_tick)
+        state = _batch(state, *args, SCALAR_TAIL_RUNS)
+        try:
+            rising = _scalar_tail(state, *args)
+        except IntegrationError:
+            rising = None
+        if rising is None:
+            # the batch decides each run's steps alike, so it fails too, at the
+            # batch's first failing step
+            _batch(state, *args, 0)
+        elif rising:
+            raise _horizon_error(triples, rising, last_tick)
     return peak, ptick
 
 

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
-from exosir.model import (CompartmentState, ModelParams, Trajectory,
-                          endogenous_boost_check, exo_sir_rhs, integrate,
-                          integrate_sir, peak_of, sir_rhs)
+from exosir.model import (CONSERVATION_TOL, UNDERSHOOT_TOL, CompartmentState, ModelParams,
+                          Trajectory, _check_batch, _check_step, endogenous_boost_check,
+                          exo_sir_rhs, integrate, integrate_sir, peak_of, sir_rhs)
 
 
 def state(s, i_e, i_x, r):
@@ -172,6 +172,39 @@ def test_integrate_failure_reports_step_index():
         integrate(exo_sir_rhs, init, ModelParams(beta_x=0.0, beta_e=80.0, gamma=0.0),
                   dt=1.0, n_steps=50)
     assert err.value.step >= 1
+
+
+def _check_outcome(check, values):
+    """The clamped values a step check returns, or "error"."""
+    try:
+        return [float(np.ravel(v)[0]) for v in check(values, 1)]
+    except IntegrationError:
+        return "error"
+
+
+def test_step_checks_agree_at_the_tolerance_edge():
+    # both checks clamp first and then test conservation, so they accept, clamp and reject
+    # the same steps, also where a clamp moves the sum across the tolerance. Here the sum is
+    # 1e-9 + 3e-13 too high before s is clamped and within the tolerance after
+    r = CONSERVATION_TOL - 2e-13
+    assert _check_step((1.0 + 5e-13, 0.0, 0.0, r), 1) == [1.0, 0.0, 0.0, r]
+    rng = np.random.default_rng(14)
+    shifts = np.array([0.0, 0.5, -0.5, 1.5, -1.5]) * UNDERSHOOT_TOL
+    outcomes = []
+    for _ in range(4000):
+        values = rng.dirichlet([0.5] * 4)
+        values[rng.random(4) < 0.4] = 0.0
+        if values.sum() == 0.0:
+            values[0] = 1.0
+        values /= values.sum()
+        values += rng.choice(shifts, 4)
+        values[rng.integers(4)] += rng.choice([-1.0, 1.0]) * (
+            CONSERVATION_TOL + rng.uniform(-3.0, 3.0) * UNDERSHOOT_TOL)
+        single = _check_outcome(_check_step, tuple(values.tolist()))
+        assert single == _check_outcome(_check_batch, [np.array([v]) for v in values])
+        outcomes.append(single)
+    accepted = [o for o in outcomes if o != "error"]
+    assert 0.1 < len(accepted) / len(outcomes) < 0.9
 
 
 def test_integrate_generic_rhs_dispatch():

@@ -86,19 +86,69 @@ def test_ba_sampler_matches_numpy_choice(m):
         assert ours.bit_generator.state == reference.bit_generator.state
 
 
+def test_ba_sampler_matches_numpy_choice_at_large_n():
+    # at a few hundred nodes the certified pick decides almost every node
+    for seed, n in enumerate((300, 380, 460, 500)):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert generate_ba_graph(n, 2, ours).neighbors == _reference_neighbors(n, 2, reference)
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_ba_exact_path_matches_numpy_choice(monkeypatch, m):
+    # with a certification margin wider than the cdf, every round takes the exact cdf
+    monkeypatch.setattr(network, "_PICK_ULP", 1.0)
+    rounds = []
+    choose = network._choose_distinct
+    monkeypatch.setattr(network, "_choose_distinct",
+                        lambda *args: rounds.append(1) or choose(*args))
+    for seed in range(40):
+        n = m + 2 + seed * 3
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert generate_ba_graph(n, m, ours).neighbors == _reference_neighbors(n, m, reference)
+        assert ours.bit_generator.state == reference.bit_generator.state
+        assert len(rounds) == n - m - 1
+        rounds.clear()
+
+
+def test_certified_round_matches_float_cdf():
+    # a round the margin certifies picks what _choose_distinct's float cdf picks. Uniforms
+    # sit within a few cdf rounding errors or a few margins of an interval's end, or at the
+    # extreme draws 0.0 and 1 - 2**-53, which are never certified
+    rng = np.random.default_rng(31)
+    eps = 2.0**-53
+    outcomes = []
+    for _ in range(400):
+        new = int(rng.integers(3, 5000))
+        degrees = np.floor(rng.pareto(1.2, new) + 2.0)
+        cum = np.concatenate([[0.0], degrees.cumsum()])
+        total = int(cum[new])
+        margin = (2 * new + 8) * 4 * eps
+        ends = cum[rng.integers(1, new, 2)] / total
+        x = ends + np.where(rng.random(2) < 0.5, 4 * new * eps * rng.uniform(-1, 1, 2),
+                            margin * rng.uniform(-3, 3, 2))
+        if rng.random() < 0.1:
+            x[rng.integers(2)] = rng.choice([0.0, 1.0 - eps])
+        x = np.clip(x, 0.0, 1.0 - eps)
+        got = network._certified_round(cum, new, x, total)
+        if (x == 0.0).any() or (x == 1.0 - eps).any():
+            assert got is None
+        cdf = (degrees / total).cumsum()
+        cdf /= cdf[-1]
+        if got is not None:
+            assert got == cdf.searchsorted(x, side="right").tolist()
+        outcomes.append(got is not None)
+    assert 0.05 < np.mean(outcomes) < 0.5
+
+
 def test_ba_degree_distribution_heavy_tailed():
     # preferential attachment keeps most nodes at the minimum degree while a
-    # few hubs absorb the rest
-    degree_one = 0
-    degree_four = 0
-    total = 0
-    for g in range(1000):
-        graph = generate_ba_graph(150, 1, seed=g)
-        degrees = np.array([graph.degree(v) for v in range(graph.n)])
-        degree_one += int((degrees == 1).sum())
-        degree_four += int((degrees == 4).sum())
-        total += graph.n
-    assert degree_one / total > degree_four / total
+    # few hubs absorb the rest; the graphs of generate_ba_graph(150, 1, seed=g),
+    # grown in one batch
+    n = 150
+    owner, _ = network._grow_ba_edges(n, 1, [np.random.default_rng(g) for g in range(1000)])
+    degrees = np.array([np.bincount(row, minlength=n) for row in owner])
+    assert (degrees == 1).mean() > (degrees == 4).mean()
 
 
 # --- single steps ---

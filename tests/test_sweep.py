@@ -1,11 +1,14 @@
 """Random-grid sweep: sampling, batched peak extraction, scaling, regression."""
 
+import contextlib
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from exosir import sweep
 from exosir.errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
 from exosir.model import (CompartmentState, ModelParams, _exo_sir_f, exo_sir_rhs, integrate,
                           peak_of, rk4_step)
@@ -55,11 +58,34 @@ def test_run_sweep_bounds_on_random_triples():
         assert tick >= 0
 
 
+# Runs left when the sweep hands over to single runs: never, the default, from the start
+TAIL_RUNS = (0, sweep.SCALAR_TAIL_RUNS, 10**6)
+
+
+@contextlib.contextmanager
+def _tail_runs(runs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "SCALAR_TAIL_RUNS", runs)
+        yield
+
+
 def test_run_sweep_horizon_error_names_triple():
     # growth rate ~1e-4/day keeps i_e rising far beyond 16x the base horizon
     with pytest.raises(HorizonError,
                        match="still rising.*beta_x=0.0, beta_e=0.02, gamma=0.0199"):
         run_sweep(np.array([[0.0, 0.02, 0.0199]]))
+
+
+def test_run_sweep_horizon_error_counts_rising_runs():
+    # runs 1 and 2 still rise at tick 100 * 2**4; the error names the lower index and the
+    # count, whether the batch or the scalar tail reaches that tick
+    triples = np.array([[0.1, 0.5, 0.3], [0.0, 0.03, 0.0299], [0.0, 0.02, 0.0199],
+                        [0.2, 0.1, 0.4]])
+    for runs in TAIL_RUNS:
+        with _tail_runs(runs), pytest.raises(HorizonError, match=(
+                r"^i_e still rising after 1600 steps \(x4 doublings\) for beta_x=0\.0, "
+                r"beta_e=0\.03, gamma=0\.0299 \(2 run\(s\) affected\)$")):
+            run_sweep(triples, horizon=100)
 
 
 def _scalar_peak(triple, dt=DEFAULT_DT, horizon=DEFAULT_HORIZON):
@@ -75,9 +101,11 @@ def _scalar_peak(triple, dt=DEFAULT_DT, horizon=DEFAULT_HORIZON):
 
 
 def _assert_matches_scalar_runs(triples, dt=DEFAULT_DT, horizon=DEFAULT_HORIZON):
-    peak, tick = run_sweep(triples, dt, horizon)
-    for triple, value, at in zip(triples, peak.tolist(), tick.tolist()):
-        assert (value, at) == _scalar_peak(triple, dt, horizon), triple
+    expected = [_scalar_peak(triple, dt, horizon) for triple in triples]
+    for runs in TAIL_RUNS:
+        with _tail_runs(runs):
+            peak, tick = run_sweep(triples, dt, horizon)
+        assert list(zip(peak.tolist(), tick.tolist())) == expected, runs
 
 
 def test_run_sweep_matches_scalar_runs_bitwise():
@@ -85,11 +113,9 @@ def test_run_sweep_matches_scalar_runs_bitwise():
     # peak after 1, 2 and 3 checkpoints, so they also cover the resumed batch
     near_critical = [[0.0, 0.13, 0.1], [0.0, 0.112, 0.1], [0.0, 0.105, 0.1]]
     triples = np.vstack([sample_grid(30, 25)[::540], near_critical])
-    peak, tick = run_sweep(triples)
-    late = tick[-3:].tolist()
+    late = run_sweep(triples)[1][-3:].tolist()
     assert 2000 < late[0] < 4000 < late[1] < 8000 < late[2] < 16000
-    for triple, value, at in zip(triples, peak.tolist(), tick.tolist()):
-        assert (value, at) == _scalar_peak(triple)
+    _assert_matches_scalar_runs(triples)
 
 
 def test_run_sweep_settled_runs_match_scalar_runs_bitwise():
@@ -266,11 +292,36 @@ def test_run_sweep_empty_batch():
 
 def test_run_sweep_late_error_after_runs_settle():
     # the unstable triple fails at step 108, after most of the grid has settled and left
-    # the batch; the error is the one the full integration raised
+    # the batch; the error is the one the full integration raised, also when the triple
+    # is finished on its own
     triples = np.vstack([sample_grid(15, 25), [[0.0, 29.0, 28.0]]])
-    with pytest.raises(IntegrationError,
-                       match=r"^compartment undershoot -1\.739692227474636e-06 \(step 108\)$"):
-        run_sweep(triples)
+    for runs in TAIL_RUNS:
+        with _tail_runs(runs), pytest.raises(IntegrationError, match=(
+                r"^compartment undershoot -1\.739692227474636e-06 \(step 108\)$")):
+            run_sweep(triples)
+
+
+def test_run_sweep_error_is_the_batch_first():
+    # single runs meet run 0's failure (step 108) before run 2's (step 7); the sweep still
+    # raises the batch's first error
+    triples = np.array([[0.0, 29.0, 28.0], [0.1, 0.5, 0.3], [0.0, 29.0, 28.5]])
+    for runs in TAIL_RUNS:
+        with _tail_runs(runs), pytest.raises(IntegrationError, match=(
+                r"^compartment undershoot -2\.512194311954073e-07 \(step 7\)$")):
+            run_sweep(triples)
+
+
+@pytest.mark.parametrize("k, seed, dt, digest", [
+    (15, 25, 0.1, "abb4802d960dd66b134be97a8bfb63e27260f202bfd8fe812c2627ff1e310395"),
+    (15, 26, 0.1, "9b423c91e8022887686a1c83fca8dbae93753305a6d81e88a630d25c4401f075"),
+    (30, 25, 0.1, "9701c518e81aca5cd296ce6f4086d4800f28edb4defe9f013c7fe2911ac17307"),
+    (12, 25, 0.5, "766882c1c39df8aa1f202bbbf82084d62fc41a2210d91c2fab1ebdf25158d84a"),
+], ids=["k15-seed25", "k15-seed26", "k30-seed25", "k12-dt0.5"])
+def test_run_sweep_matches_pinned_digest(k, seed, dt, digest):
+    # peaks and ticks come from IEEE add, multiply and divide only, so they are pinned
+    # bit for bit, as the batch alone computes them (SCALAR_TAIL_RUNS = 0)
+    peak, tick = run_sweep(sample_grid(k, seed), dt)
+    assert hashlib.sha256(peak.tobytes() + tick.tobytes()).hexdigest() == digest
 
 
 def test_run_sweep_rejects_bad_input():
