@@ -32,28 +32,14 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def csv_text(header, rows) -> str:
-    return _join_csv(header, (map(fmt, row) for row in rows))
-
-
 def csv_columns_text(header, columns) -> str:
-    """csv_text of a table given as numpy columns, formatted a column at a time.
+    """CSV of a table given as numpy columns: the header line, then one line per row.
 
-    tolist() yields Python floats and ints, whose repr is what fmt writes.
+    tolist() yields Python floats and ints; repr writes a float as its shortest
+    round-trip decimal.
     """
-    return _join_csv(header, zip(*(map(repr, col.tolist()) for col in columns)))
-
-
-def _join_csv(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(map(",".join, rows))
+    lines.extend(map(",".join, zip(*(map(repr, col.tolist()) for col in columns))))
     return "\n".join(lines) + "\n"
 
 

@@ -8,13 +8,13 @@ artifacts are written atomically. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from ._fileio import (atomic_write_text, csv_columns_text, csv_text, json_text,
-                      resolve_out_dir)
+from ._fileio import atomic_write_text, csv_columns_text, json_text, resolve_out_dir
 from .errors import (ConfigError, DataError, InvalidStateError, NumericalError,
                      ParameterError)
 from .fitting import (DEFAULT_HORIZON_DAYS, counterfactual_runs,
@@ -23,7 +23,7 @@ from .ingest import (build_observed, load_populations, parse_event_counts,
                      parse_raw_cases, parse_states_daily)
 from .model import (CompartmentState, ModelParams, exo_sir_rhs, integrate,
                     integrate_sir, peak_of)
-from .network import DEFAULT_GRID_AXIS, DEFAULT_MAX_TICKS, run_experiment
+from .network import DEFAULT_GRID_AXIS, DEFAULT_MAX_TICKS, CombinationSummary, run_experiment
 from .sweep import (DEFAULT_DT, DEFAULT_K, DEFAULT_SEED, fit_ols, run_sweep,
                     sample_grid, scale_log_peaks)
 
@@ -83,9 +83,7 @@ def cmd_simulate(args) -> int:
                              args.dt, args.steps)
         _write(os.path.join(out, "trajectory.csv"),
                csv_columns_text(("t", "s", "i", "r"), (traj.times, traj.s, traj.i, traj.r)))
-        tick = int(np.argmax(traj.i))
-        peaks = {"i": {"peak_value": float(traj.i[tick]), "peak_tick": tick,
-                       "peak_time": float(traj.times[tick])}}
+        peaks = {"i": _peak_dict(peak_of(traj, "i"))}
     _write(os.path.join(out, "peaks.json"), json_text(peaks))
     return 0
 
@@ -96,12 +94,9 @@ def cmd_network(args) -> int:
         base_seed=args.seed, reps=args.reps, n=args.n, m=args.m,
         max_ticks=args.max_ticks, beta_x_axis=args.beta_x,
         beta_e_axis=args.beta_e, gamma_axis=args.gamma)
-    rows = [(c.beta_x, c.beta_e, c.gamma, c.mean_endo_peak_value, c.mean_endo_peak_tick,
-             c.mean_exo_peak_value, c.mean_exo_peak_tick, c.reps) for c in summaries]
-    _write(os.path.join(out, "summary.csv"),
-           csv_text(("beta_x", "beta_e", "gamma", "mean_endo_peak_value",
-                     "mean_endo_peak_tick", "mean_exo_peak_value",
-                     "mean_exo_peak_tick", "reps"), rows))
+    names = [field.name for field in dataclasses.fields(CombinationSummary)]
+    _write(os.path.join(out, "summary.csv"), csv_columns_text(
+        names, [np.array([getattr(c, name) for c in summaries]) for name in names]))
     return 0
 
 
@@ -250,15 +245,15 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -82,14 +82,14 @@ class ObservedSeries:
         return tuple(i + e for i, e in zip(self.daily_imported, self.daily_event_linked))
 
 
-def parse_date(text: str, fallbacks=DEFAULT_DATE_FALLBACKS) -> dt.date:
-    """ISO-8601 first, then the configured fallback formats."""
+def parse_date(text: str) -> dt.date:
+    """ISO-8601 first, then the DEFAULT_DATE_FALLBACKS formats."""
     text = text.strip()
     try:
         return dt.date.fromisoformat(text)
     except ValueError:
         pass
-    for fmt in fallbacks:
+    for fmt in DEFAULT_DATE_FALLBACKS:
         try:
             return dt.datetime.strptime(text, fmt).date()
         except ValueError:
@@ -132,8 +132,7 @@ def _header_map(fieldnames, required, where: str) -> dict[str, str]:
     return mapping
 
 
-def parse_raw_cases(stream, date_fallbacks=DEFAULT_DATE_FALLBACKS
-                    ) -> tuple[list[RawCaseRecord], IngestReport]:
+def parse_raw_cases(stream) -> tuple[list[RawCaseRecord], IngestReport]:
     """Patient-level rows with DateAnnounced, DetectedState, TypeOfTransmission.
 
     Transmission values other than Local/Imported map to Unknown. Rows with
@@ -151,7 +150,7 @@ def parse_raw_cases(stream, date_fallbacks=DEFAULT_DATE_FALLBACKS
         if transmission not in ("Local", "Imported"):
             transmission = "Unknown"
         try:
-            date = parse_date(raw_date, date_fallbacks)
+            date = parse_date(raw_date)
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue
@@ -162,7 +161,7 @@ def parse_raw_cases(stream, date_fallbacks=DEFAULT_DATE_FALLBACKS
     return records, report
 
 
-def parse_states_daily(stream, state_codes, date_fallbacks=DEFAULT_DATE_FALLBACKS
+def parse_states_daily(stream, state_codes
                        ) -> tuple[dict[str, dict[dt.date, dict[str, int]]], IngestReport]:
     """Pivot (date, status) rows into per-state daily series.
 
@@ -181,7 +180,7 @@ def parse_states_daily(stream, state_codes, date_fallbacks=DEFAULT_DATE_FALLBACK
     for row_number, row in _numbered_rows(reader, "states daily"):
         status = (row.get(cols["status"]) or "").strip().lower()
         try:
-            date = parse_date((row.get(cols["date"]) or ""), date_fallbacks)
+            date = parse_date(row.get(cols["date"]) or "")
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue
@@ -211,8 +210,7 @@ def parse_states_daily(stream, state_codes, date_fallbacks=DEFAULT_DATE_FALLBACK
     return table, report
 
 
-def parse_event_counts(stream, date_fallbacks=DEFAULT_DATE_FALLBACKS
-                       ) -> tuple[dict[dt.date, int], IngestReport]:
+def parse_event_counts(stream) -> tuple[dict[dt.date, int], IngestReport]:
     """Per-day event-linked counts from a date,count file; empty input is valid."""
     reader = csv.DictReader(stream)
     report = IngestReport()
@@ -223,7 +221,7 @@ def parse_event_counts(stream, date_fallbacks=DEFAULT_DATE_FALLBACKS
     events: dict[dt.date, int] = {}
     for row_number, row in _numbered_rows(reader, "event counts"):
         try:
-            date = parse_date((row.get(cols["date"]) or ""), date_fallbacks)
+            date = parse_date(row.get(cols["date"]) or "")
             count = int((row.get(cols["count"]) or "").strip())
         except ValueError as exc:
             report.reject(row_number, str(exc))
@@ -385,7 +383,9 @@ def load_populations(path) -> dict[str, int]:
         raise ConfigError(f"population config must be a JSON object, got {type(data).__name__}")
     out = {}
     for code, value in data.items():
-        if not isinstance(value, int) or value <= 0:
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise ConfigError(f"population for {code!r} must be a positive integer, got {value!r}")
+        if code.lower() in out:
+            raise ConfigError(f"population config repeats state {code!r} (case-insensitive)")
         out[code.lower()] = value
     return out

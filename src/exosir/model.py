@@ -128,28 +128,37 @@ def exo_sir_rhs(state: CompartmentState, params: ModelParams) -> tuple[float, fl
     s, i_e, i_x, r = state.s, state.i_e, state.i_x, state.r
     if not (math.isfinite(s) and math.isfinite(i_e) and math.isfinite(i_x) and math.isfinite(r)):
         raise InvalidStateError(f"non-finite state: {state!r}")
-    i = i_e + i_x
-    return (
-        -params.beta_x * s - params.beta_e * s * i,
-        params.beta_x * s - params.gamma * i_x,
-        params.beta_e * s * i - params.gamma * i_e,
-        params.gamma * i,
-    )
+    return _exo_sir_f(params.beta_x, params.beta_e, params.gamma)(s, i_e, i_x, r)
 
 
 def sir_rhs(state: tuple[float, float, float], params: tuple[float, float]) -> tuple[float, float, float]:
-    """Classic SIR derivatives (ds, di, dr) for state (s, i, r) and params (beta, gamma)."""
+    """Classic SIR derivatives (ds, di, dr) for state (s, i, r) and params (beta, gamma).
+
+    Exo-SIR with beta_x = 0 and i_x = 0; only the sign of a zero can differ
+    from evaluating the SIR formulas directly.
+    """
     s, i, r = state
     if not (math.isfinite(s) and math.isfinite(i) and math.isfinite(r)):
         raise InvalidStateError(f"non-finite state: {state!r}")
-    beta, gamma = params
-    return (-beta * s * i, beta * s * i - gamma * i, gamma * i)
+    ds, _, di, dr = _exo_sir_f(0.0, *params)(s, i, 0.0, r)
+    return (ds, di, dr)
 
 
 def check_step_size(dt: float) -> None:
     """Raise ParameterError unless dt is a finite positive step (NaN fails too)."""
     if not (math.isfinite(dt) and dt > 0):
         raise ParameterError(f"dt must be finite and positive, got {dt!r}")
+
+
+def check_array_size(count: int, what: str) -> None:
+    """Raise ParameterError unless count float64 values fit in one numpy array.
+
+    numpy cannot index more bytes than intp holds, and says so with a ValueError
+    rather than a MemoryError; a smaller request that still cannot be met raises
+    MemoryError when it is made.
+    """
+    if count > np.iinfo(np.intp).max // 8:
+        raise ParameterError(f"{what} needs {count} values, more than one array can hold")
 
 
 def _check_step(values, step: int):
@@ -244,6 +253,7 @@ def integrate(rhs, initial: CompartmentState, params: ModelParams,
     check_step_size(dt)
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps!r}")
+    check_array_size(n_steps + 1, f"n_steps={n_steps}")
     initial.validate()
 
     if rhs is exo_sir_rhs:
@@ -283,7 +293,7 @@ def integrate_sir(initial: tuple[float, float, float], params: tuple[float, floa
 _COMPARTMENTS = {"i_e": lambda tr: tr.i_e, "i_x": lambda tr: tr.i_x, "i": lambda tr: tr.i}
 
 
-def peak_of(traj: Trajectory, compartment: str = "i_e") -> PeakStats:
+def peak_of(traj: Trajectory | SirTrajectory, compartment: str = "i_e") -> PeakStats:
     """Peak statistics of one infected series; ties broken by the earliest index."""
     try:
         series = _COMPARTMENTS[compartment](traj)

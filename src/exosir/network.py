@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError
-from .model import ModelParams, PeakStats
+from .model import ModelParams, PeakStats, check_array_size
 
 DEFAULT_GRID_AXIS = (0.1, 0.5, 0.9)
 DEFAULT_MAX_TICKS = 1000
@@ -52,48 +51,38 @@ def _any_neighbor(owner: np.ndarray, neighbor: np.ndarray, mask: np.ndarray) -> 
     return out.reshape(mask.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactGraph:
-    """Undirected graph as per-node sorted neighbor lists."""
+    """Undirected graph on n nodes as directed edge arrays: edge j runs from
+    owner[j] to neighbor[j], and every edge appears once in each direction."""
 
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
+    owner: np.ndarray
+    neighbor: np.ndarray
 
-    @classmethod
-    def from_edges(cls, n: int, owner: np.ndarray, neighbor: np.ndarray) -> ContactGraph:
-        """The graph of (owner, neighbor) pairs, one per directed edge, in any order."""
-        order = np.lexsort((neighbor, owner))
-        flat = neighbor[order].tolist()
-        ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-        return cls(n=n, neighbors=tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends)))
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per-node sorted neighbor lists."""
+        order = np.lexsort((self.neighbor, self.owner))
+        flat = self.neighbor[order].tolist()
+        ends = np.cumsum(np.bincount(self.owner, minlength=self.n)).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
-
-    def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
+        return self.owner.size // 2
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean n x n adjacency; a reference only, O(n^2) memory."""
         adj = np.zeros((self.n, self.n), dtype=bool)
-        for node, nbrs in enumerate(self.neighbors):
-            adj[node, list(nbrs)] = True
+        adj[self.owner, self.neighbor] = True
         return adj
-
-    @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(owner, neighbor) index pairs, one per directed edge, in neighbor-list order."""
-        owner = np.repeat(np.arange(self.n), [len(nb) for nb in self.neighbors])
-        neighbor = np.fromiter(itertools.chain.from_iterable(self.neighbors),
-                               dtype=np.intp, count=owner.size)
-        return owner, neighbor
 
     def any_neighbor(self, mask: np.ndarray) -> np.ndarray:
         """True at each node with at least one neighbor set in the boolean mask.
 
         Equal to adjacency_matrix() @ mask, in O(edges) time and memory.
         """
-        return _any_neighbor(*self._edge_arrays, mask)
+        return _any_neighbor(self.owner, self.neighbor, mask)
 
 
 @dataclass(frozen=True)
@@ -120,12 +109,6 @@ class CombinationSummary:
     reps: int
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _require_probabilities(params: ModelParams) -> None:
     """Rates above 1 are not probabilities; ModelParams rejects those below 0."""
     for name in ("beta_x", "beta_e", "gamma"):
@@ -140,6 +123,7 @@ def _require_sizes(n: int, m: int) -> None:
         raise ParameterError(f"m must be >= 1, got {m!r}")
     if n <= m:
         raise ParameterError(f"n must exceed m, got n={n!r}, m={m!r}")
+    check_array_size(n, f"n={n}")
 
 
 def _require_max_ticks(max_ticks: int) -> None:
@@ -289,8 +273,9 @@ def generate_ba_graph(n: int, m: int, seed) -> ContactGraph:
     replacement with probability proportional to current degree. For n=150,
     m=1 the mean degree is 2*149/150, matching an average node degree of 2.
     """
-    owner, neighbor = _grow_ba_edges(n, m, [_as_rng(seed)])
-    graph = ContactGraph.from_edges(n, owner[0], neighbor[0])
+    (owner,), (neighbor,) = _grow_ba_edges(n, m, [np.random.default_rng(seed)])
+    owner.flags.writeable = neighbor.flags.writeable = False
+    graph = ContactGraph(n, owner, neighbor)
     expected_edges = m * (m + 1) // 2 + (n - m - 1) * m
     assert graph.edge_count() == expected_edges
     return graph
@@ -330,7 +315,7 @@ def step(graph: ContactGraph, statuses: np.ndarray, params: ModelParams,
     """
     if statuses.shape != (graph.n,):
         raise ParameterError(f"statuses must have shape ({graph.n},), got {statuses.shape}")
-    return _tick(statuses[None], *graph._edge_arrays, rng.random((1, 3, graph.n)),
+    return _tick(statuses[None], graph.owner, graph.neighbor, rng.random((1, 3, graph.n)),
                  *_tick_rates(params))[0]
 
 
@@ -407,8 +392,7 @@ def run_simulation(graph: ContactGraph, params: ModelParams, rng: np.random.Gene
         statuses = np.asarray(initial_statuses, dtype=np.int8).copy()
         if statuses.shape != (graph.n,):
             raise ParameterError(f"initial_statuses must have shape ({graph.n},)")
-    owner, neighbor = graph._edge_arrays
-    endo, exo = _run_batch(statuses[None], owner[None], neighbor[None],
+    endo, exo = _run_batch(statuses[None], graph.owner[None], graph.neighbor[None],
                            np.array([_tick_rates(params)]), [rng], max_ticks)
     (endo_value,), (endo_tick,) = _peaks(endo)
     (exo_value,), (exo_tick,) = _peaks(exo)
@@ -440,12 +424,14 @@ def run_experiment(base_seed: int, reps: int = 50, n: int = 150, m: int = 1,
         _require_probabilities(params)
     _require_sizes(n, m)
     _require_max_ticks(max_ticks)
-    jobs = [(ci, rep) for ci in range(len(grid)) for rep in range(reps)]
-    # endo value, endo tick, exo value, exo tick per job
-    peaks = np.empty((4, len(jobs)))
+    # Job j is repetition j % reps of combination j // reps; its endo value, endo
+    # tick, exo value and exo tick go to column j of peaks.
+    jobs = len(grid) * reps
+    check_array_size(4 * jobs, f"reps={reps}")
+    peaks = np.empty((4, jobs))
     size = max(1, _BATCH_NODES // n)
-    for start in range(0, len(jobs), size):
-        batch = jobs[start:start + size]
+    for start in range(0, jobs, size):
+        batch = [divmod(job, reps) for job in range(start, min(start + size, jobs))]
         rngs = [np.random.default_rng(np.random.SeedSequence([base_seed, ci, rep]))
                 for ci, rep in batch]
         owner, neighbor = _grow_ba_edges(n, m, rngs)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
-from .model import (UNDERSHOOT_TOL, _check_batch, _check_step, _exo_sir_f, check_step_size,
-                    rk4_step)
+from .model import (UNDERSHOOT_TOL, _check_batch, _check_step, _exo_sir_f, check_array_size,
+                    check_step_size, rk4_step)
 from .regression import RegressionReport, fit_linear
 
 SWEEP_INITIAL = (0.999996, 1e-6, 3e-6, 0.0)
@@ -108,6 +108,7 @@ def sample_grid(k: int = DEFAULT_K, seed: int = DEFAULT_SEED) -> np.ndarray:
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k!r}")
+    check_array_size(3 * k**3, f"k={k}")
     rng = np.random.default_rng(seed)
     axes = []
     for _ in range(3):

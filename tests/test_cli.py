@@ -168,6 +168,21 @@ def test_sweep_overflow_prints_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: non-finite compartment in sweep batch (step 1)"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--k", "100000"],  # MemoryError: 7 PiB
+    ["sweep", "--k", "3000000"],  # more elements than an array can index
+    ["simulate", "--steps", "1000000000000000"],  # MemoryError: 7 PiB
+    ["simulate", "--steps", "2000000000000000000"],  # more bytes than an array can index
+    ["network", "--n", "1000000000000000", "--reps", "1"],  # MemoryError: 7 PiB
+    ["network", "--reps", "1000000000000000"],  # MemoryError: 767 PiB of peaks
+])
+def test_oversized_request_exits_1(tmp_path, capsys, argv):
+    # 7 PiB or more: far beyond what a 64-bit host can map, so each fails at once
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["fit", "--raw", str(tmp_path / "nope.csv"),
                  "--daily", str(DATA / "states_daily.csv"),
@@ -380,3 +395,19 @@ def test_sweep_numeric_flags_never_escape(tmp_path_factory, k, dt):
         code = _exit_code(["sweep", f"--k={k}", f"--dt={dt!r}", "--out", str(out)])
     assert code in {0, 1, 2, 3}
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+_FIT_INPUTS = {"--raw": DATA / "raw_cases.csv", "--daily": DATA / "states_daily.csv",
+               "--events": DATA / "events_tn.csv", "--pop-config": DATA / "populations.json"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(state=st.sampled_from(["kl", "rj", "tn", "zz"]), horizon=st.integers(-3, 5000),
+       events=st.booleans(), missing=st.sets(st.sampled_from(sorted(_FIT_INPUTS))))
+def test_fit_argv_never_escapes(tmp_path_factory, state, horizon, events, missing):
+    out = tmp_path_factory.mktemp("fit")
+    argv = ["fit", "--state", state, f"--horizon={horizon}", "--out", str(out)]
+    for flag, path in _FIT_INPUTS.items():
+        if flag != "--events" or events:
+            argv += [flag, str(out / "absent" if flag in missing else path)]
+    assert _exit_code(argv) in {0, 1, 2, 3}

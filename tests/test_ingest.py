@@ -241,6 +241,12 @@ def test_load_populations(tmp_path):
         load_populations(path)
     with pytest.raises(ConfigError):
         load_populations(tmp_path / "missing.json")
+    path.write_text('{"tn": true}')  # bool is an int subclass, not a population
+    with pytest.raises(ConfigError, match="'tn'"):
+        load_populations(path)
+    path.write_text('{"tn": 72000000, "TN": 5}')  # one state twice after lowercasing
+    with pytest.raises(ConfigError, match="'TN'"):
+        load_populations(path)
 
 
 def test_bom_input_parses(tmp_path):

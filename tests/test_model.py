@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
@@ -321,3 +323,22 @@ def test_boost_rhs_strictly_increasing_in_ix():
         if prev is not None:
             assert d[2] > prev
         prev = d[2]
+
+
+_RATES = st.floats(0.0, 50.0)
+_WEIGHTS = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weights=_WEIGHTS, rates=st.tuples(_RATES, _RATES, _RATES), dt=st.floats(0.01, 2.0),
+       n_steps=st.integers(1, 50))
+def test_integrate_stays_on_the_simplex_or_raises(weights, rates, dt, n_steps):
+    total = sum(weights)
+    initial = state(*(w / total for w in weights))
+    try:
+        traj = integrate(exo_sir_rhs, initial, ModelParams(*rates), dt, n_steps)
+    except IntegrationError:
+        return
+    for series in (traj.s, traj.i_e, traj.i_x, traj.r):
+        assert ((series >= 0.0) & (series <= 1.0)).all()
+    assert np.abs(traj.s + traj.i_e + traj.i_x + traj.r - 1.0).max() <= CONSERVATION_TOL

@@ -21,6 +21,7 @@ def test_ba_two_nodes_single_edge():
     graph = generate_ba_graph(2, 1, seed=0)
     assert graph.edge_count() == 1
     assert graph.neighbors == ((1,), (0,))
+    assert not graph.owner.flags.writeable and not graph.neighbor.flags.writeable
 
 
 def test_ba_edge_count_formula():
@@ -174,7 +175,7 @@ def test_step_no_transmission_full_recovery():
 
 def test_step_isolated_node_never_infected():
     # degree-0 node with no exogenous channel has no infection path
-    graph = ContactGraph(n=3, neighbors=((), (2,), (1,)))
+    graph = ContactGraph(n=3, owner=np.array([1, 2]), neighbor=np.array([2, 1]))
     statuses = np.array([S, IE, S], dtype=np.int8)
     rng = np.random.default_rng(2)
     params = ModelParams(beta_x=0.0, beta_e=0.9, gamma=0.05)
@@ -185,7 +186,7 @@ def test_step_isolated_node_never_infected():
 
 def test_any_neighbor_matches_dense_adjacency():
     rng = np.random.default_rng(11)
-    graphs = [ContactGraph(n=3, neighbors=((), (2,), (1,))),
+    graphs = [ContactGraph(n=3, owner=np.array([1, 2]), neighbor=np.array([2, 1])),
               generate_ba_graph(60, 1, seed=12), generate_ba_graph(60, 3, seed=13)]
     for graph in graphs:
         adj = graph.adjacency_matrix()
