@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -130,6 +131,8 @@ def _parse_file(path: str, parser, *args):
 
 
 def cmd_fit(args) -> int:
+    if args.horizon < 1:
+        raise ParameterError(f"--horizon must be >= 1, got {args.horizon}")
     out = resolve_out_dir(args.out)
     state = args.state.lower()
     populations = load_populations(args.pop_config)
@@ -153,6 +156,10 @@ def cmd_fit(args) -> int:
         fitted = estimate_params(norm, zero_exogenous_ok=True)
     else:
         fitted = estimate_params(norm)
+    for name, diagnostic in fitted.diagnostics.items():
+        if diagnostic.clamped:
+            print(f"warning: {state}: {name} slope {diagnostic.raw!r} is negative, "
+                  "clamped to 0", file=sys.stderr)
     with_traj, without_traj, comparison = counterfactual_runs(fitted, args.horizon)
     _write(os.path.join(out, "comparison.json"), json_text({
         "state": state,
@@ -195,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="initial infected fraction (sir model)")
     sim.add_argument("--r0", type=float, default=0.0, help="initial recovered fraction")
     sim.add_argument("--out", default=None, help="output directory")
-    sim.set_defaults(func=cmd_simulate)
 
     net = sub.add_parser("network", help="agent-based runs on generated contact graphs")
     net.add_argument("--beta-x", type=_axis, default=DEFAULT_GRID_AXIS,
@@ -211,14 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="tick budget per run")
     net.add_argument("--seed", type=int, default=NETWORK_SEED, help="base seed")
     net.add_argument("--out", default=None, help="output directory")
-    net.set_defaults(func=cmd_network)
 
     swp = sub.add_parser("sweep", help="random-grid ODE sweep and peak regression")
     swp.add_argument("--k", type=int, default=DEFAULT_K, help="draws per parameter axis")
     swp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="axis sampling seed")
     swp.add_argument("--dt", type=float, default=DEFAULT_DT, help="integration step")
     swp.add_argument("--out", default=None, help="output directory")
-    swp.set_defaults(func=cmd_sweep)
 
     fit = sub.add_parser("fit", help="estimate rates from observed data and compare "
                                      "peaks with and without the exogenous channel")
@@ -230,18 +234,30 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--horizon", type=int, default=DEFAULT_HORIZON_DAYS,
                      help="initial counterfactual horizon in days")
     fit.add_argument("--out", default=None, help="output directory")
-    fit.set_defaults(func=cmd_fit)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses for the life of the process.
+
+    argparse keeps no state between parse_args calls, and _Parser.error and
+    --help look up sys.stderr and sys.stdout when they run, so one parser
+    serves every call; building it costs more than parsing a command.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up per call, so the kept parser pins no command function
+    command = {"simulate": cmd_simulate, "network": cmd_network, "sweep": cmd_sweep,
+               "fit": cmd_fit}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

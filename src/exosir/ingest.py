@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -97,6 +98,16 @@ def parse_date(text: str) -> dt.date:
     raise ValueError(f"unparseable date {text!r}")
 
 
+def _date_memo():
+    """parse_date that reads each distinct text once, for the rows of one file.
+
+    Dates repeat within a file (one raw-case row per patient, three daily rows
+    per date). An unparseable text is not cached, so every row that carries it
+    is rejected with its own row number.
+    """
+    return functools.lru_cache(maxsize=None)(parse_date)
+
+
 def _fieldnames(reader: csv.DictReader, where: str):
     """The header row; one the csv module cannot read is a schema error."""
     try:
@@ -143,6 +154,7 @@ def parse_raw_cases(stream) -> tuple[list[RawCaseRecord], IngestReport]:
                        ("DateAnnounced", "DetectedState", "TypeOfTransmission"), "raw cases")
     report = IngestReport()
     records = []
+    parse = _date_memo()
     for row_number, row in _numbered_rows(reader, "raw cases"):
         raw_date = (row.get(cols["DateAnnounced"]) or "").strip()
         state = (row.get(cols["DetectedState"]) or "").strip()
@@ -150,7 +162,7 @@ def parse_raw_cases(stream) -> tuple[list[RawCaseRecord], IngestReport]:
         if transmission not in ("Local", "Imported"):
             transmission = "Unknown"
         try:
-            date = parse_date(raw_date)
+            date = parse(raw_date)
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue
@@ -177,10 +189,11 @@ def parse_states_daily(stream, state_codes
     report = IngestReport()
     seen: set[tuple[dt.date, str]] = set()
     table: dict[str, dict[dt.date, dict[str, int]]] = {code: {} for code in state_codes}
+    parse = _date_memo()
     for row_number, row in _numbered_rows(reader, "states daily"):
         status = (row.get(cols["status"]) or "").strip().lower()
         try:
-            date = parse_date(row.get(cols["date"]) or "")
+            date = parse(row.get(cols["date"]) or "")
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue

@@ -256,12 +256,14 @@ def _grow_ba_edges(n: int, m: int, rngs) -> tuple[np.ndarray, np.ndarray]:
                 picked.extend(found)
             total_degree += 2 * m
         chosen = np.array(picks, dtype=np.intp).reshape(graphs, arrivals * m)
-    clique = np.array([(a, b) for a in range(m + 1) for b in range(m + 1) if a != b],
-                      dtype=np.intp).reshape(-1, 2)
+    # The (m+1)-clique's m(m+1) directed edges, a ascending, then b != a ascending.
+    clique_a = np.repeat(np.arange(m + 1), m)
+    clique_b = np.tile(np.arange(m), m + 1)
+    clique_b += clique_b >= clique_a
     new = np.repeat(np.arange(m + 1, n), m)
-    owner = np.concatenate([np.broadcast_to(clique[:, 0], (graphs, len(clique))),
+    owner = np.concatenate([np.broadcast_to(clique_a, (graphs, clique_a.size)),
                             np.broadcast_to(new, chosen.shape), chosen], axis=1)
-    neighbor = np.concatenate([np.broadcast_to(clique[:, 1], (graphs, len(clique))),
+    neighbor = np.concatenate([np.broadcast_to(clique_b, (graphs, clique_b.size)),
                                chosen, np.broadcast_to(new, chosen.shape)], axis=1)
     return owner, neighbor
 

@@ -1,6 +1,7 @@
 """End-to-end command behavior: exit codes, artifacts, and determinism."""
 
 import contextlib
+import datetime as dt
 import hashlib
 import io
 import json
@@ -9,11 +10,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exosir import cli
 from exosir.cli import main
+from exosir.fitting import NormalizedSeries, estimate_params
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -121,6 +125,83 @@ def test_help_exits_0(capsys):
     assert "simulate" in capsys.readouterr().out
 
 
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    real = cli.build_parser
+    assert real() is not real()  # the public builder still returns a new parser
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for _ in range(2):
+            assert _exit_code(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 0
+            assert _exit_code(["frobnicate"]) == 1
+            assert _exit_code(["--help"]) == 0
+        assert len(calls) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_command_functions_are_looked_up_per_call(tmp_path, monkeypatch):
+    assert _exit_code(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(cli, "cmd_fit", lambda args: 42)
+    assert main(["fit", "--raw", "r", "--daily", "d", "--state", "kl",
+                 "--pop-config", "p"]) == 42
+
+
+_SEQUENCE = {
+    "no-command": [],
+    "unknown": ["frobnicate"],
+    "bad-int": ["simulate", "--steps", "many"],
+    "help": ["--help"],
+    "fit-help": ["fit", "--help"],
+    "fit-missing": ["fit", "--state", "kl"],
+    "simulate-exo": ["simulate", "--beta-x", "0.002", "--steps", "300"],
+    "simulate-sir": ["simulate", "--model", "sir", "--steps", "300"],
+    "network": ["network", "--beta-x", "0.5", "--beta-e", "0.5,0.9", "--gamma", "0.5",
+                "--reps", "2", "--n", "30"],
+    "sweep": ["sweep", "--k", "2"],
+    "fit-tn": ["fit", "--raw", str(DATA / "raw_cases.csv"),
+               "--daily", str(DATA / "states_daily.csv"),
+               "--events", str(DATA / "events_tn.csv"),
+               "--state", "tn", "--pop-config", str(DATA / "populations.json")],
+    "fit-horizon": ["fit", "--raw", str(DATA / "raw_cases.csv"),
+                    "--daily", str(DATA / "states_daily.csv"), "--state", "kl",
+                    "--pop-config", str(DATA / "populations.json"), "--horizon", "0"],
+}
+
+
+def _run_sequence(base: Path) -> list:
+    """(label, exit code, stdout, stderr, artifact bytes) for every call of _SEQUENCE."""
+    results = []
+    for label, argv in _SEQUENCE.items():
+        out = base / label
+        if argv and argv[0] in ("simulate", "network", "sweep", "fit") and "--help" not in argv:
+            argv = [*argv, "--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        results.append((label, code, stdout.getvalue().replace(str(base), "<out>"),
+                        stderr.getvalue(), artifacts))
+    return results
+
+
+def test_kept_parser_matches_fresh_parsers(tmp_path, monkeypatch):
+    kept = [_run_sequence(tmp_path / "kept-1"), _run_sequence(tmp_path / "kept-2")]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser for every call
+    fresh = _run_sequence(tmp_path / "fresh")
+    assert kept[0] == fresh and kept[1] == fresh
+    codes = {label: code for label, code, *_ in fresh}
+    assert codes == {"no-command": 1, "unknown": 1, "bad-int": 1, "help": 0, "fit-help": 0,
+                     "fit-missing": 1, "simulate-exo": 0, "simulate-sir": 0, "network": 0,
+                     "sweep": 0, "fit-tn": 0, "fit-horizon": 1}
+
+
 def test_parameter_error_exits_1(tmp_path, capsys):
     code = main(["simulate", "--gamma", "-1", "--out", str(tmp_path)])
     assert code == 1
@@ -181,6 +262,22 @@ def test_oversized_request_exits_1(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_network_clique_fails_at_its_first_allocation(tmp_path):
+    # m = 100000 asks for a clique of 10^10 directed edges; built as arrays, the
+    # first one fails at once under the cap instead of growing a list of tuples
+    code = ("import resource, sys; cap = 1200 * 2**20; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "from exosir.cli import main; "
+            f"sys.exit(main(['network', '--m', '100000', '--n', '100001', '--reps', '1', "
+            f"'--out', {str(tmp_path)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+    assert "Unable to allocate" in proc.stderr  # numpy's refusal, not a list out of memory
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_missing_input_exits_2(tmp_path, capsys):
@@ -274,6 +371,51 @@ def test_fit_on_bundled_data(tmp_path, capsys):
     header, rows = _read_csv(tmp_path / "with_ix.csv")
     assert header == ["t", "i_e"] and rows
     assert (tmp_path / "without_ix.csv").exists()
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_fit_horizon_below_one_names_the_flag(tmp_path, capsys, horizon):
+    code = main(["fit", "--raw", str(DATA / "raw_cases.csv"),
+                 "--daily", str(DATA / "states_daily.csv"),
+                 "--state", "kl", "--pop-config", str(DATA / "populations.json"),
+                 f"--horizon={horizon}", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --horizon must be >= 1, got {horizon}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_fit_warns_once_per_clamped_rate(tmp_path, capsys, monkeypatch):
+    # counts read from files are never negative, so no file reaches a negative
+    # slope; the series the fit works on is replaced by one whose i_e falls
+    scale = 2.0 ** -10
+    i_e = np.arange(1, 7) * scale
+    zeros = np.zeros(6)
+    crafted = NormalizedSeries(
+        state="kl", dates=tuple(dt.date(2020, 3, 1) + dt.timedelta(days=k) for k in range(6)),
+        di_e=np.full(6, -scale), di_x=np.full(6, scale), dr=zeros,
+        s=1.0 - i_e, i_e=i_e, i_x=zeros, r=zeros, population_n=1_000_000)
+    diagnostics = estimate_params(crafted).diagnostics
+    assert [name for name, d in diagnostics.items() if d.clamped] == ["beta_e"]
+    monkeypatch.setattr(cli, "normalize", lambda series: crafted)
+    code = main(["fit", "--raw", str(DATA / "raw_cases.csv"),
+                 "--daily", str(DATA / "states_daily.csv"),
+                 "--state", "kl", "--pop-config", str(DATA / "populations.json"),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    warned = [line for line in capsys.readouterr().err.splitlines() if "clamped" in line]
+    assert warned == [f"warning: kl: beta_e slope {diagnostics['beta_e'].raw!r} "
+                      "is negative, clamped to 0"]
+    assert json.loads((tmp_path / "comparison.json").read_text())["fitted"]["beta_e"] == 0.0
+
+
+@pytest.mark.parametrize("state", ["kl", "rj", "tn"])
+def test_bundled_fits_clamp_nothing(tmp_path, capsys, state):
+    events = ["--events", str(DATA / "events_tn.csv")] if state == "tn" else []
+    assert main(["fit", "--raw", str(DATA / "raw_cases.csv"),
+                 "--daily", str(DATA / "states_daily.csv"), *events,
+                 "--state", state, "--pop-config", str(DATA / "populations.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert "clamped" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["raw", "daily", "pop"])

@@ -59,6 +59,26 @@ def test_parse_raw_cases_lossless():
     assert {row for row, _ in report.rejects} == {5, 6}
 
 
+def test_repeated_bad_date_rejects_every_row():
+    # each distinct date is parsed once per file; a failed parse is not remembered
+    text = ("DateAnnounced,DetectedState,TypeOfTransmission\n"
+            "2020-31-01,Kerala,Imported\n"
+            "2020-02-01,Kerala,Local\n"
+            "2020-31-01,Kerala,Local\n"
+            "2020-02-01,Kerala,Imported\n")
+    records, report = parse_raw_cases(io.StringIO(text))
+    assert report.rejects == [(2, "unparseable date '2020-31-01'"),
+                              (4, "unparseable date '2020-31-01'")]
+    assert [r.date_announced for r in records] == [dt.date(2020, 2, 1)] * 2
+    daily = ("date,status,kl\n"
+             "2020-02-30,Confirmed,1\n"
+             "2020-02-30,Recovered,1\n"
+             "2020-02-01,Confirmed,2\n")
+    table, report = parse_states_daily(io.StringIO(daily), ["kl"])
+    assert [row for row, _ in report.rejects] == [2, 3]
+    assert list(table["kl"]) == [dt.date(2020, 2, 1)]
+
+
 def test_parse_raw_cases_missing_column():
     with pytest.raises(SchemaError, match="TypeOfTransmission"):
         parse_raw_cases(io.StringIO("DateAnnounced,DetectedState\n2020-01-30,Kerala\n"))
