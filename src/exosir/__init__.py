@@ -17,9 +17,8 @@ from .fitting import (FittedParams, NormalizedSeries, PeakComparison,
                       counterfactual, counterfactual_runs, estimate_params,
                       export_observed, fold_out_exogenous, normalize)
 from .ingest import (IngestReport, ObservedSeries, RawCaseRecord,
-                     build_observed, load_populations, merge_event_counts,
-                     parse_event_counts, parse_raw_cases, parse_states_daily,
-                     read_observed_csv, write_observed_csv)
+                     build_observed, load_populations, parse_event_counts,
+                     parse_raw_cases, parse_states_daily)
 from .model import (CompartmentState, ModelParams, PeakStats, SirTrajectory,
                     Trajectory, endogenous_boost_check, exo_sir_rhs, integrate,
                     integrate_sir, peak_of, sir_rhs)
@@ -43,9 +42,8 @@ __all__ = [
     "counterfactual_runs", "endogenous_boost_check", "estimate_params",
     "exo_sir_rhs", "export_observed", "fit_linear", "fit_ols",
     "fold_out_exogenous", "generate_ba_graph", "integrate", "integrate_sir",
-    "load_populations", "merge_event_counts", "normalize",
-    "parse_event_counts", "parse_raw_cases", "parse_states_daily", "peak_of",
-    "read_observed_csv", "run_experiment", "run_simulation", "run_sweep",
-    "sample_grid", "scale_log_peaks", "sir_rhs", "step", "t_critical",
-    "t_sf_two_sided", "write_observed_csv",
+    "load_populations", "normalize", "parse_event_counts", "parse_raw_cases",
+    "parse_states_daily", "peak_of", "run_experiment", "run_simulation",
+    "run_sweep", "sample_grid", "scale_log_peaks", "sir_rhs", "step",
+    "t_critical", "t_sf_two_sided",
 ]

@@ -23,6 +23,11 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would. The
+        # umask can only be read by setting it.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

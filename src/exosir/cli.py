@@ -40,10 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _axis(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.split(","))
-    if not values:
-        raise ValueError("empty axis")
-    return values
+    return tuple(float(part) for part in text.split(","))
 
 
 def _write(path: str, text: str) -> None:

@@ -22,9 +22,6 @@ DEFAULT_DATE_FALLBACKS = ("%d/%m/%Y",)
 STATE_NAMES = {"kl": "Kerala", "rj": "Rajasthan", "tn": "Tamil Nadu"}
 STATUSES = ("confirmed", "recovered", "deceased")
 
-OBSERVED_HEADER = ("date", "daily_confirmed", "daily_recovered", "daily_deceased",
-                   "daily_imported", "daily_event_linked")
-
 
 @dataclass
 class IngestReport:
@@ -77,10 +74,6 @@ class ObservedSeries:
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    @property
-    def daily_exogenous(self) -> tuple[int, ...]:
-        return tuple(i + e for i, e in zip(self.daily_imported, self.daily_event_linked))
 
 
 def parse_date(text: str) -> dt.date:
@@ -249,47 +242,6 @@ def _date_span(first: dt.date, last: dt.date) -> list[dt.date]:
     return [first + dt.timedelta(days=d) for d in range((last - first).days + 1)]
 
 
-def merge_event_counts(series: ObservedSeries, events: dict[dt.date, int]
-                       ) -> tuple[ObservedSeries, IngestReport]:
-    """Fill daily_event_linked; event dates outside the range extend it with zeros."""
-    report = IngestReport()
-    for date, count in events.items():
-        if count < 0:
-            raise NegativeCountError(f"negative event count {count} on {date}")
-    if not events:
-        return series, report
-    first = min(series.dates[0], min(events))
-    last = max(series.dates[-1], max(events))
-    dates = _date_span(first, last)
-    index = {d: i for i, d in enumerate(dates)}
-    n = len(dates)
-
-    def extended(values) -> list[int]:
-        out = [0] * n
-        for d, v in zip(series.dates, values):
-            out[index[d]] = v
-        return out
-
-    confirmed = extended(series.daily_confirmed)
-    event_linked = [0] * n
-    for date, count in events.items():
-        event_linked[index[date]] = count
-        if count > confirmed[index[date]]:
-            report.warn(f"{series.state}: event count {count} on {date} exceeds "
-                        f"daily_confirmed {confirmed[index[date]]}")
-    merged = ObservedSeries(
-        state=series.state,
-        dates=tuple(dates),
-        daily_confirmed=tuple(confirmed),
-        daily_recovered=tuple(extended(series.daily_recovered)),
-        daily_deceased=tuple(extended(series.daily_deceased)),
-        daily_imported=tuple(extended(series.daily_imported)),
-        daily_event_linked=tuple(event_linked),
-        population_n=series.population_n,
-    )
-    return merged, report
-
-
 def build_observed(raw_records: list[RawCaseRecord],
                    states_daily: dict[str, dict[dt.date, dict[str, int]]],
                    events: dict[dt.date, int], state: str, population_n: int
@@ -298,7 +250,8 @@ def build_observed(raw_records: list[RawCaseRecord],
 
     daily_imported counts the raw-case records of that state with type
     Imported per day; the date axis is the union range of all three sources,
-    gap-filled with zeros (warned).
+    gap-filled with zeros (warned). An event count above the day's confirmed
+    count is kept and warned; a negative one raises NegativeCountError.
     """
     state = state.lower()
     if population_n <= 0:
@@ -323,6 +276,13 @@ def build_observed(raw_records: list[RawCaseRecord],
     for date in dates:
         if date not in daily:
             report.warn(f"{state}: no daily row for {date}, filled with 0")
+    for date, count in events.items():
+        if count < 0:
+            raise NegativeCountError(f"negative event count {count} on {date}")
+        confirmed = daily.get(date, {}).get("confirmed", 0)
+        if count > confirmed:
+            report.warn(f"{state}: event count {count} on {date} exceeds "
+                        f"daily_confirmed {confirmed}")
     series = ObservedSeries(
         state=state,
         dates=tuple(dates),
@@ -330,59 +290,10 @@ def build_observed(raw_records: list[RawCaseRecord],
         daily_recovered=tuple(daily.get(d, {}).get("recovered", 0) for d in dates),
         daily_deceased=tuple(daily.get(d, {}).get("deceased", 0) for d in dates),
         daily_imported=tuple(imported.get(d, 0) for d in dates),
-        daily_event_linked=tuple(0 for _ in dates),
+        daily_event_linked=tuple(events.get(d, 0) for d in dates),
         population_n=population_n,
     )
-    merged, merge_report = merge_event_counts(series, events)
-    report.warnings.extend(merge_report.warnings)
-    return merged, report
-
-
-def write_observed_csv(series: ObservedSeries) -> str:
-    """Canonical ObservedSeries CSV text, sorted by date."""
-    lines = [",".join(OBSERVED_HEADER)]
-    for k, date in enumerate(series.dates):
-        lines.append(",".join([
-            date.isoformat(),
-            str(series.daily_confirmed[k]),
-            str(series.daily_recovered[k]),
-            str(series.daily_deceased[k]),
-            str(series.daily_imported[k]),
-            str(series.daily_event_linked[k]),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def read_observed_csv(stream, state: str, population_n: int) -> ObservedSeries:
-    """Parse a canonical ObservedSeries CSV back into a structure."""
-    reader = csv.DictReader(stream)
-    cols = _header_map(_fieldnames(reader, "observed series"), OBSERVED_HEADER,
-                       "observed series")
-    rows = []
-    for row_number, row in _numbered_rows(reader, "observed series"):
-        fields = [row[cols[name]] for name in OBSERVED_HEADER]
-        if None in fields:
-            raise SchemaError(f"observed series row {row_number}: too few fields")
-        try:
-            rows.append((parse_date(fields[0]), *(int(v) for v in fields[1:])))
-        except ValueError as exc:
-            raise SchemaError(f"observed series row {row_number}: {exc}") from None
-    rows.sort(key=lambda r: r[0])
-    if not rows:
-        raise SchemaError("observed series has no rows")
-    try:
-        return ObservedSeries(
-            state=state,
-            dates=tuple(r[0] for r in rows),
-            daily_confirmed=tuple(r[1] for r in rows),
-            daily_recovered=tuple(r[2] for r in rows),
-            daily_deceased=tuple(r[3] for r in rows),
-            daily_imported=tuple(r[4] for r in rows),
-            daily_event_linked=tuple(r[5] for r in rows),
-            population_n=population_n,
-        )
-    except ParameterError as exc:  # a gap or a repeated date in the file
-        raise SchemaError(f"observed series: {exc}") from None
+    return series, report
 
 
 def load_populations(path) -> dict[str, int]:

@@ -5,6 +5,8 @@ import datetime as dt
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -111,6 +113,16 @@ def test_network_summary_matches_golden_digest(tmp_path, case):
     flags, digest = GOLDEN_NETWORK[case]
     assert main(["network", *flags, "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest() == digest
+
+
+def test_artifacts_get_the_mode_open_gives(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("trajectory.csv", "peaks.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -336,6 +348,14 @@ def test_network_probabilities_outside_unit_interval_exit_1(tmp_path, capsys, fl
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("axis", ["", "0.1,,0.5"])
+def test_network_empty_axis_entry_exits_1(tmp_path, capsys, axis):
+    code = main(["network", "--beta-x", axis, "--reps", "1", "--n", "10", "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: argument --beta-x: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_sweep_artifacts_and_determinism(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
@@ -408,14 +428,95 @@ def test_fit_warns_once_per_clamped_rate(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "comparison.json").read_text())["fitted"]["beta_e"] == 0.0
 
 
+def _bundled_fit_inputs(state: str) -> list[str]:
+    events = ["--events", str(DATA / "events_tn.csv")] if state == "tn" else []
+    return ["--raw", str(DATA / "raw_cases.csv"), "--daily", str(DATA / "states_daily.csv"),
+            *events, "--state", state, "--pop-config", str(DATA / "populations.json")]
+
+
 @pytest.mark.parametrize("state", ["kl", "rj", "tn"])
 def test_bundled_fits_clamp_nothing(tmp_path, capsys, state):
-    events = ["--events", str(DATA / "events_tn.csv")] if state == "tn" else []
-    assert main(["fit", "--raw", str(DATA / "raw_cases.csv"),
-                 "--daily", str(DATA / "states_daily.csv"), *events,
-                 "--state", state, "--pop-config", str(DATA / "populations.json"),
-                 "--out", str(tmp_path)]) == 0
+    assert main(["fit", *_bundled_fit_inputs(state), "--out", str(tmp_path)]) == 0
     assert "clamped" not in capsys.readouterr().err
+
+
+def _crafted_fit_inputs(directory: Path) -> list[str]:
+    """kl input that reaches every observed-series warning: two gap days
+    (03-05, 03-07), a missing status, events before and after the daily range,
+    a repeated event date whose sum exceeds confirmed, and rejected rows."""
+    (directory / "raw.csv").write_text(
+        "DateAnnounced,DetectedState,TypeOfTransmission\n"
+        "2020-03-03,Kerala,Imported\n2020-03-03,Kerala,Imported\n2020-03-04,KL,Imported\n"
+        "2020-03-06,Kerala,Local\nbad-date,Kerala,Imported\n"
+        "2020-03-08,kerala,Imported\n2020-03-09,Kerala,Imported\n")
+    lines = ["date,status,kl"]
+    for day, confirmed, recovered in ((3, 6, 0), (4, 5, 1), (6, 7, 2), (8, 9, 3), (9, 8, 4),
+                                      (10, 10, 5)):
+        lines += [f"2020-03-{day:02d},Confirmed,{confirmed}",
+                  f"2020-03-{day:02d},Recovered,{recovered}"]
+        if day != 8:
+            lines.append(f"2020-03-{day:02d},Deceased,0")
+    (directory / "daily.csv").write_text("\n".join(lines) + "\n")
+    (directory / "events.csv").write_text(
+        "date,count\n2020-03-12,2\n2020-03-04,3\n2020-03-01,1\n2020-03-xx,1\n"
+        "2020-03-04,4\n2020-03-06,9\n")
+    (directory / "pop.json").write_text('{"kl": 10000}')
+    return ["--raw", str(directory / "raw.csv"), "--daily", str(directory / "daily.csv"),
+            "--events", str(directory / "events.csv"), "--state", "kl",
+            "--pop-config", str(directory / "pop.json")]
+
+
+_BUNDLED_NOTE = ["note: raw cases row 56 rejected: unparseable date '31/02/2020'"]
+# sha256 of comparison.json, with_ix.csv and without_ix.csv, and the exact
+# stderr lines, as written before build_observed stopped merging the event
+# counts into a second series. The fitted slopes go through np.dot, so the
+# digests assume numpy's float64 dot product rounds as on x86-64.
+GOLDEN_FIT = {
+    "tn": (_BUNDLED_NOTE, (
+        "5f3221123f86c2a23c0e093aff7674af624da79aeb4c7fa098cb068daf4143ba",
+        "87946a63e4bc24c0e7a01d4bce8c9bf5b5c8706fd0fe768fbef0f0c50d5e1dd1",
+        "d57db75068c58ebbd7b25e7f02c06b3aee2216bd37b41b775a3545229df42777")),
+    "kl": (_BUNDLED_NOTE, (
+        "14352c2d7d75c8b6137a08f12a784d0b36b2bc339a6f0c65337ce51c0ca4742a",
+        "b6c38584ad46f5fc8291f1bc6919c117ed74019a8e8b3710fc80624fc2a37065",
+        "06ad028cf0a41c52a3d217e0f0bb4c47db5b2e5a3734430908d8f86a460d05e1")),
+    "rj": (_BUNDLED_NOTE, (
+        "d3ffc94e62493d17caf3f9dbcdf1d6f1a9bab4485b373b34162fff1b40da9f6d",
+        "cb3f50b89e9480401b0430127e65db2750cfb3ec184d5c5868546e112ac039c9",
+        "74af357f59eda4039584773f2abdca8a3dff3ffa1246111cb5c91dd8e329c123")),
+    "crafted": ([
+        "note: raw cases row 6 rejected: unparseable date 'bad-date'",
+        "warning: daily series: kl: 2020-03-08 missing status 'deceased', filled with 0",
+        "note: events row 5 rejected: unparseable date '2020-03-xx'",
+        *(f"warning: observed series: kl: no daily row for 2020-03-{day:02d}, filled with 0"
+          for day in (1, 2, 5, 7, 11, 12)),
+        "warning: observed series: kl: event count 2 on 2020-03-12 exceeds daily_confirmed 0",
+        "warning: observed series: kl: event count 7 on 2020-03-04 exceeds daily_confirmed 5",
+        "warning: observed series: kl: event count 1 on 2020-03-01 exceeds daily_confirmed 0",
+        "warning: observed series: kl: event count 9 on 2020-03-06 exceeds daily_confirmed 7",
+    ], ("37641d7f5df57b246a3c92c99dcc71c36c16ebe9d1211dc745606395abba6683",
+        "516fca45b6b6af96a5684e13b1d1ecf5f4fe14b7f4a2dfe009d07f2c0d8e083a",
+        "4666f0616cfeca54ee35c5ff209806087b20ef4edb9a498e5fcdc0b26ad4a717")),
+}
+_FIT_ARTIFACTS = ("comparison.json", "with_ix.csv", "without_ix.csv")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FIT))
+def test_fit_matches_golden_output(tmp_path, capsys, case):
+    err_lines, digests = GOLDEN_FIT[case]
+    out = tmp_path / "out"
+    if case == "crafted":
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        argv = _crafted_fit_inputs(inputs)
+    else:
+        argv = _bundled_fit_inputs(case)
+    assert main(["fit", *argv, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"wrote {out / name}\n" for name in _FIT_ARTIFACTS)
+    assert captured.err.splitlines() == err_lines
+    for name, digest in zip(_FIT_ARTIFACTS, digests):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("bad", ["raw", "daily", "pop"])
@@ -473,6 +574,14 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_star_import_resolves_every_public_name():
+    import exosir
+    namespace = {}
+    exec("from exosir import *", namespace)
+    assert len(set(exosir.__all__)) == len(exosir.__all__)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(exosir.__all__)
 
 
 def test_cli_import_leaves_scipy_unloaded():

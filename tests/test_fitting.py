@@ -80,6 +80,12 @@ def test_normalize_running_sums():
         assert norm.s[k] == pytest.approx(1.0 - norm.i[k] - norm.r[k], abs=1e-15)
 
 
+def test_normalize_sums_imported_and_event_linked():
+    imported, event = [1, 0, 2, 0, 0, 0], [0, 0, 0, 0, 0, 4]
+    norm = normalize(_observed([5, 6, 7, 0, 0, 0], imported=imported, event=event))
+    assert norm.di_x.tolist() == [(i + e) / 1000 for i, e in zip(imported, event)]
+
+
 def test_normalize_detects_undersized_population():
     with pytest.raises(ScaleError, match="population_n"):
         normalize(_observed([60, 60], pop=100))

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from exosir.errors import (ConfigError, DataError, DuplicateDateError, NegativeCountError,
                            ParameterError, SchemaError)
-from exosir.ingest import (OBSERVED_HEADER, ObservedSeries, build_observed,
-                           load_populations, merge_event_counts, parse_date,
-                           parse_event_counts, parse_raw_cases, parse_states_daily,
-                           read_observed_csv, write_observed_csv)
+from exosir.ingest import (ObservedSeries, RawCaseRecord, build_observed,
+                           load_populations, parse_date, parse_event_counts,
+                           parse_raw_cases, parse_states_daily)
 
 
 def _series(dates, confirmed, recovered=None, deceased=None, imported=None,
@@ -153,32 +152,46 @@ def test_parse_event_counts():
     assert len(report.rejects) == 1
 
 
+def _daily(dates, confirmed):
+    return {d: {"confirmed": c, "recovered": 0, "deceased": 0} for d, c in zip(dates, confirmed)}
+
+
 def test_merge_events_inside_range():
     dates = _days(dt.date(2020, 3, 1), 4)
-    series = _series(dates, [5, 6, 7, 8])
-    merged, report = merge_event_counts(series, {dates[2]: 3})
-    assert merged.daily_event_linked == (0, 0, 3, 0)
-    assert merged.dates == series.dates
+    series, report = build_observed([], {"kl": _daily(dates, [5, 6, 7, 8])},
+                                    {dates[2]: 3}, "kl", 1000)
+    assert series.daily_event_linked == (0, 0, 3, 0)
+    assert series.dates == tuple(dates)
     assert not report.warnings
 
 
 def test_merge_events_extends_range():
+    # event dates outside the daily rows extend the date axis with zeros
     dates = _days(dt.date(2020, 3, 1), 3)
-    series = _series(dates, [5, 6, 7], imported=[1, 0, 2])
+    raw = [RawCaseRecord(dates[0], "Kerala", "Imported"),
+           RawCaseRecord(dates[2], "Kerala", "Imported"),
+           RawCaseRecord(dates[2], "Kerala", "Imported")]
     after = dt.date(2020, 3, 6)
-    merged, report = merge_event_counts(series, {after: 4})
-    assert merged.dates[-1] == after
-    assert len(merged) == 6
-    assert merged.daily_confirmed == (5, 6, 7, 0, 0, 0)
-    assert merged.daily_imported == (1, 0, 2, 0, 0, 0)
-    assert merged.daily_event_linked == (0, 0, 0, 0, 0, 4)
-    # 4 events on a day with 0 confirmed is suspicious
-    assert any("exceeds" in w for w in report.warnings)
-    assert merged.daily_exogenous == (1, 0, 2, 0, 0, 4)
+    series, report = build_observed(raw, {"kl": _daily(dates, [5, 6, 7])},
+                                    {after: 4}, "kl", 1000)
+    assert series.dates[-1] == after
+    assert len(series) == 6
+    assert series.daily_confirmed == (5, 6, 7, 0, 0, 0)
+    assert series.daily_imported == (1, 0, 2, 0, 0, 0)
+    assert series.daily_event_linked == (0, 0, 0, 0, 0, 4)
+    # 4 events on a day with 0 confirmed is suspicious; it is warned after the gaps
+    assert report.warnings[-1] == "kl: event count 4 on 2020-03-06 exceeds daily_confirmed 0"
+    assert [w for w in report.warnings if "no daily row" in w] == report.warnings[:-1]
+
+
+def test_build_observed_rejects_negative_event_count():
+    dates = _days(dt.date(2020, 3, 1), 2)
+    with pytest.raises(NegativeCountError,
+                       match="^negative event count -2 on 2020-03-02$"):
+        build_observed([], {"kl": _daily(dates, [5, 6])}, {dates[1]: -2}, "kl", 1000)
 
 
 def test_build_observed_tallies_imported():
-    from exosir.ingest import RawCaseRecord
     d = dt.date(2020, 1, 30)
     raw = [
         RawCaseRecord(d, "Kerala", "Imported"),
@@ -207,27 +220,6 @@ def test_build_observed_unknown_state():
         build_observed([], {"kl": {}}, {}, "kl", 1000)
     with pytest.raises(ConfigError):
         build_observed([], {"kl": {}}, {}, "kl", 0)
-
-
-def test_observed_csv_roundtrip():
-    dates = _days(dt.date(2020, 2, 10), 5)
-    series = _series(dates, [3, 1, 4, 1, 5], recovered=[0, 1, 1, 2, 2],
-                     deceased=[0, 0, 1, 0, 0], imported=[2, 0, 1, 0, 0],
-                     event=[0, 0, 0, 3, 0])
-    text = write_observed_csv(series)
-    back = read_observed_csv(io.StringIO(text), "kl", 1000)
-    assert back == series
-
-
-@pytest.mark.parametrize("row", [
-    "2020-02-11,3,0,0,x,0",  # non-integer count
-    "2020-02-11,3,0",  # too few fields
-    "11 Feb 2020,3,0,0,0,0",  # unparseable date
-])
-def test_read_observed_csv_bad_row_names_it(row):
-    text = ",".join(OBSERVED_HEADER) + "\n2020-02-10,1,0,0,0,0\n" + row + "\n"
-    with pytest.raises(SchemaError, match="row 3"):
-        read_observed_csv(io.StringIO(text), "kl", 1000)
 
 
 def test_observed_series_validation():
@@ -282,7 +274,6 @@ _PARSERS = {
     "raw cases": parse_raw_cases,
     "states daily": lambda stream: parse_states_daily(stream, ("kl",)),
     "event counts": parse_event_counts,
-    "observed series": lambda stream: read_observed_csv(stream, "kl", 1000),
 }
 
 
@@ -290,8 +281,7 @@ _PARSERS = {
 def test_bare_carriage_return_is_a_schema_error_naming_the_row(name):
     # a stream opened without newline="" leaves a lone \r inside a row
     header = {"raw cases": "DateAnnounced,DetectedState,TypeOfTransmission",
-              "states daily": "date,status,kl", "event counts": "date,count",
-              "observed series": ",".join(OBSERVED_HEADER)}[name]
+              "states daily": "date,status,kl", "event counts": "date,count"}[name]
     text = header + "\n2020-02-09,1\r2020-02-11,1\n"
     with pytest.raises(SchemaError, match=f"{name} row 2: new-line character"):
         _PARSERS[name](io.StringIO(text))
@@ -299,8 +289,11 @@ def test_bare_carriage_return_is_a_schema_error_naming_the_row(name):
         _PARSERS[name](io.StringIO("date\r,count\n"))
 
 
+# the last entry is a well-formed header that none of the parsers expects
 _HEADERS = ("", "DateAnnounced,DetectedState,TypeOfTransmission\n", "date,status,kl\n",
-            "date,count\n", ",".join(OBSERVED_HEADER) + "\n")
+            "date,count\n",
+            "date,daily_confirmed,daily_recovered,daily_deceased,daily_imported,"
+            "daily_event_linked\n")
 _PIECES = st.one_of(
     st.sampled_from(["2020-02-10", "2020-02-11", "10/02/2020", "2020-02-30", "0", "7", "-3",
                      "1_0", "9" * 40, "kl", "Kerala", "Imported", "confirmed", "recovered",
