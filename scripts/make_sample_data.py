@@ -16,7 +16,7 @@ import os
 import sys
 
 from exosir.fitting import export_observed
-from exosir.model import CompartmentState, ModelParams, exo_sir_rhs, integrate
+from exosir.model import CompartmentState, ModelParams, integrate
 
 START = dt.date(2020, 1, 30)
 OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
@@ -39,7 +39,7 @@ def simulate_state(cfg):
     initial = CompartmentState(s=1.0 - (cfg["ie0"] + cfg["ix0"]) / n,
                                i_e=cfg["ie0"] / n, i_x=cfg["ix0"] / n, r=0.0)
     params = ModelParams(beta_x=cfg["beta_x"], beta_e=cfg["beta_e"], gamma=cfg["gamma"])
-    return integrate(exo_sir_rhs, initial, params, 1.0, 1024)
+    return integrate(initial, params, 1.0, 1024)
 
 
 def main():

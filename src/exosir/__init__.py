@@ -14,8 +14,8 @@ from .errors import (ConfigError, DataError, DuplicateDateError, ExoSirError,
                      ScaleError, ScalingDomainError, SchemaError,
                      SingularDesignError, UnidentifiableParameterError)
 from .fitting import (FittedParams, NormalizedSeries, PeakComparison,
-                      counterfactual, counterfactual_runs, estimate_params,
-                      export_observed, fold_out_exogenous, normalize)
+                      counterfactual_runs, estimate_params, export_observed,
+                      fold_out_exogenous, normalize)
 from .ingest import (IngestReport, ObservedSeries, RawCaseRecord,
                      build_observed, load_populations, parse_event_counts,
                      parse_raw_cases, parse_states_daily)
@@ -38,9 +38,9 @@ __all__ = [
     "PeakStats", "RawCaseRecord", "RegressionReport", "ScaleError",
     "ScalingDomainError", "SchemaError", "SimOutcome", "SingularDesignError",
     "SirTrajectory", "Trajectory",
-    "UnidentifiableParameterError", "build_observed", "counterfactual",
-    "counterfactual_runs", "endogenous_boost_check", "estimate_params",
-    "exo_sir_rhs", "export_observed", "fit_linear", "fit_ols",
+    "UnidentifiableParameterError", "build_observed", "counterfactual_runs",
+    "endogenous_boost_check", "estimate_params", "exo_sir_rhs",
+    "export_observed", "fit_linear", "fit_ols",
     "fold_out_exogenous", "generate_ba_graph", "integrate", "integrate_sir",
     "load_populations", "normalize", "parse_event_counts", "parse_raw_cases",
     "parse_states_daily", "peak_of", "run_experiment", "run_simulation",

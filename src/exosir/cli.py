@@ -22,8 +22,7 @@ from .fitting import (DEFAULT_HORIZON_DAYS, counterfactual_runs,
                       estimate_params, normalize)
 from .ingest import (build_observed, load_populations, parse_event_counts,
                      parse_raw_cases, parse_states_daily)
-from .model import (CompartmentState, ModelParams, exo_sir_rhs, integrate,
-                    integrate_sir, peak_of)
+from .model import CompartmentState, ModelParams, integrate, integrate_sir, peak_of
 from .network import DEFAULT_GRID_AXIS, DEFAULT_MAX_TICKS, CombinationSummary, run_experiment
 from .sweep import (DEFAULT_DT, DEFAULT_K, DEFAULT_SEED, fit_ols, run_sweep,
                     sample_grid, scale_log_peaks)
@@ -69,7 +68,7 @@ def cmd_simulate(args) -> int:
         params = ModelParams(beta_x=args.beta_x, beta_e=args.beta_e, gamma=args.gamma)
         s0 = args.s0 if args.s0 is not None else 1.0 - args.ie0 - args.ix0 - args.r0
         initial = _initial_state(s0, args.ie0, args.ix0, args.r0)
-        traj = integrate(exo_sir_rhs, initial, params, args.dt, args.steps)
+        traj = integrate(initial, params, args.dt, args.steps)
         _write(os.path.join(out, "trajectory.csv"),
                csv_columns_text(("t", "s", "i_e", "i_x", "r"),
                                 (traj.times, traj.s, traj.i_e, traj.i_x, traj.r)))
@@ -157,6 +156,10 @@ def cmd_fit(args) -> int:
         if diagnostic.clamped:
             print(f"warning: {state}: {name} slope {diagnostic.raw!r} is negative, "
                   "clamped to 0", file=sys.stderr)
+    if fitted.initial.i_e == 0.0:
+        print(f"warning: {state}: no endogenous cases on the first day "
+              f"({series.dates[0].isoformat()}); the run without i_x stays at 0",
+              file=sys.stderr)
     with_traj, without_traj, comparison = counterfactual_runs(fitted, args.horizon)
     _write(os.path.join(out, "comparison.json"), json_text({
         "state": state,

@@ -2,7 +2,7 @@
 
 Pipeline: ObservedSeries -> normalize (per-capita fractions, running-sum
 cumulatives) -> estimate_params (per-rate through-origin least squares) ->
-counterfactual (paired runs with and without the exogenous channel).
+counterfactual_runs (paired runs with and without the exogenous channel).
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 from .errors import (HorizonError, IntegrationError, ParameterError, ScaleError,
                      UnidentifiableParameterError)
 from .ingest import ObservedSeries
-from .model import (CompartmentState, ModelParams, PeakStats, Trajectory,
-                    exo_sir_rhs, integrate, peak_of)
+from .model import CompartmentState, ModelParams, PeakStats, Trajectory, integrate, peak_of
 
 COUNTERFACTUAL_DT = 1.0  # real-data runs tick in whole days
 DEFAULT_HORIZON_DAYS = 365
@@ -166,7 +165,7 @@ def _run_until_peaked(params: ModelParams, initial: CompartmentState,
     Each doubling continues from the last day instead of restarting from day 0;
     a step depends only on the state it starts from, so every day is the same.
     """
-    traj = integrate(exo_sir_rhs, initial, params, COUNTERFACTUAL_DT, int(horizon_days))
+    traj = integrate(initial, params, COUNTERFACTUAL_DT, int(horizon_days))
     while True:
         n_steps = len(traj) - 1
         if peak_of(traj, "i_e").peak_tick < n_steps:
@@ -177,7 +176,7 @@ def _run_until_peaked(params: ModelParams, initial: CompartmentState,
                 f"(beta_x={params.beta_x!r}, beta_e={params.beta_e!r}, gamma={params.gamma!r})")
         more = min(2 * n_steps, MAX_HORIZON_DAYS) - n_steps
         try:
-            tail = integrate(exo_sir_rhs, traj.state_at(n_steps), params, COUNTERFACTUAL_DT, more)
+            tail = integrate(traj.state_at(n_steps), params, COUNTERFACTUAL_DT, more)
         except IntegrationError as exc:  # number the step from day 0, as a restart would
             raise IntegrationError(exc.reason, n_steps + exc.step) from None
         traj = _joined(traj, tail)
@@ -189,7 +188,7 @@ def _joined(head: Trajectory, tail: Trajectory) -> Trajectory:
               for name in ("s", "i_e", "i_x", "r")]
     for arr in arrays:
         arr.flags.writeable = False
-    return Trajectory(head.t0, head.dt, *arrays)
+    return Trajectory(head.dt, *arrays)
 
 
 def fold_out_exogenous(fitted: FittedParams) -> FittedParams:
@@ -222,11 +221,6 @@ def counterfactual_runs(fitted: FittedParams,
     comparison = PeakComparison(with_ix=with_peak, without_ix=without_peak,
                                 peak_value_ratio=ratio, peak_advance_days=advance)
     return with_traj, without_traj, comparison
-
-
-def counterfactual(fitted: FittedParams,
-                   horizon_days: int = DEFAULT_HORIZON_DAYS) -> PeakComparison:
-    return counterfactual_runs(fitted, horizon_days)[2]
 
 
 def export_observed(traj: Trajectory, population_n: int, state: str = "synthetic",

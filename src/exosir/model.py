@@ -73,9 +73,8 @@ class PeakStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step Exo-SIR trajectory; component arrays share one time axis."""
+    """Fixed-step Exo-SIR trajectory from t = 0; component arrays share one time axis."""
 
-    t0: float
     dt: float
     s: np.ndarray
     i_e: np.ndarray
@@ -87,7 +86,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.s.size)
+        return self.dt * np.arange(self.s.size)
 
     @property
     def i(self) -> np.ndarray:
@@ -102,9 +101,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SirTrajectory:
-    """Fixed-step SIR trajectory (s, i, r)."""
+    """Fixed-step SIR trajectory (s, i, r) from t = 0."""
 
-    t0: float
     dt: float
     s: np.ndarray
     i: np.ndarray
@@ -115,7 +113,7 @@ class SirTrajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.s.size)
+        return self.dt * np.arange(self.s.size)
 
 
 def exo_sir_rhs(state: CompartmentState, params: ModelParams) -> tuple[float, float, float, float]:
@@ -242,8 +240,8 @@ def rk4_step(f, s, ie, ix, r, dt: float):
             r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))
 
 
-def integrate(rhs, initial: CompartmentState, params: ModelParams,
-              dt: float, n_steps: int, t0: float = 0.0) -> Trajectory:
+def integrate(initial: CompartmentState, params: ModelParams,
+              dt: float, n_steps: int) -> Trajectory:
     """Integrate the Exo-SIR system with classical fixed-step RK4.
 
     Every step is checked for conservation (|s+i_e+i_x+r-1| <= 1e-9);
@@ -256,13 +254,7 @@ def integrate(rhs, initial: CompartmentState, params: ModelParams,
     check_array_size(n_steps + 1, f"n_steps={n_steps}")
     initial.validate()
 
-    if rhs is exo_sir_rhs:
-        f = _exo_sir_f(params.beta_x, params.beta_e, params.gamma)
-    else:
-        def f(s, ie, ix, r):
-            d = rhs(CompartmentState(s, ie, ix, r), params)
-            return (d[0], d[1], d[2], d[3])
-
+    f = _exo_sir_f(params.beta_x, params.beta_e, params.gamma)
     S = np.empty(n_steps + 1)
     IE = np.empty(n_steps + 1)
     IX = np.empty(n_steps + 1)
@@ -274,37 +266,36 @@ def integrate(rhs, initial: CompartmentState, params: ModelParams,
         S[k], IE[k], IX[k], R[k] = s, ie, ix, r
     for arr in (S, IE, IX, R):
         arr.flags.writeable = False
-    return Trajectory(t0=t0, dt=dt, s=S, i_e=IE, i_x=IX, r=R)
+    return Trajectory(dt=dt, s=S, i_e=IE, i_x=IX, r=R)
 
 
 def integrate_sir(initial: tuple[float, float, float], params: tuple[float, float],
-                  dt: float, n_steps: int, t0: float = 0.0) -> SirTrajectory:
+                  dt: float, n_steps: int) -> SirTrajectory:
     """Integrate classic SIR as Exo-SIR with beta_x = 0 and i_x = 0.
 
     With no exogenous channel the Exo-SIR step performs the same float
     operations as an SIR step, so (s, i_e, r) is the SIR trajectory.
     """
     (s, i, r), (beta, gamma) = initial, params
-    traj = integrate(exo_sir_rhs, CompartmentState(s, i, 0.0, r), ModelParams(0.0, beta, gamma),
-                     dt, n_steps, t0)
-    return SirTrajectory(t0=t0, dt=dt, s=traj.s, i=traj.i_e, r=traj.r)
+    traj = integrate(CompartmentState(s, i, 0.0, r), ModelParams(0.0, beta, gamma), dt, n_steps)
+    return SirTrajectory(dt=dt, s=traj.s, i=traj.i_e, r=traj.r)
 
 
-_COMPARTMENTS = {"i_e": lambda tr: tr.i_e, "i_x": lambda tr: tr.i_x, "i": lambda tr: tr.i}
+_INFECTED = {Trajectory: ("i_e", "i_x", "i"), SirTrajectory: ("i",)}
 
 
 def peak_of(traj: Trajectory | SirTrajectory, compartment: str = "i_e") -> PeakStats:
     """Peak statistics of one infected series; ties broken by the earliest index."""
-    try:
-        series = _COMPARTMENTS[compartment](traj)
-    except KeyError:
+    names = _INFECTED[type(traj)]
+    if compartment not in names:
         raise ParameterError(f"unknown compartment {compartment!r}, expected one of "
-                             f"{sorted(_COMPARTMENTS)}") from None
+                             f"{sorted(names)}")
+    series = getattr(traj, compartment)
     if series.size == 0:
         raise ParameterError("empty trajectory")
     tick = int(np.argmax(series))
     return PeakStats(peak_value=float(series[tick]), peak_tick=tick,
-                     peak_time=traj.t0 + tick * traj.dt)
+                     peak_time=tick * traj.dt)
 
 
 def endogenous_boost_check(state: CompartmentState, params: ModelParams) -> bool:

@@ -29,7 +29,7 @@ import pytest
 
 from conftest import ols_oracle
 from exosir.cli import main
-from exosir.fitting import FittedParams, counterfactual
+from exosir.fitting import FittedParams, counterfactual_runs
 from exosir.model import (CompartmentState, ModelParams,
                           endogenous_boost_check, exo_sir_rhs, integrate,
                           integrate_sir)
@@ -56,8 +56,7 @@ def test_criterion_01_conservation_and_validity():
     for _ in range(100):
         s0, ie0, ix0, r0 = rng.dirichlet(np.ones(4))
         beta_x, beta_e, gamma = rng.uniform(0.0, 1.0, 3)
-        traj = integrate(exo_sir_rhs,
-                         CompartmentState(s=s0, i_e=ie0, i_x=ix0, r=r0),
+        traj = integrate(CompartmentState(s=s0, i_e=ie0, i_x=ix0, r=r0),
                          ModelParams(beta_x=beta_x, beta_e=beta_e, gamma=gamma),
                          0.1, 500)
         total = traj.s + traj.i_e + traj.i_x + traj.r
@@ -82,8 +81,7 @@ def test_criterion_02_classical_reduction():
         beta_e = rng.uniform(0.0, 1.0)
         gamma = rng.uniform(0.0, 1.0)
         i0 = rng.uniform(0.001, 0.5)
-        exo = integrate(exo_sir_rhs,
-                        CompartmentState(s=1.0 - i0, i_e=i0, i_x=0.0, r=0.0),
+        exo = integrate(CompartmentState(s=1.0 - i0, i_e=i0, i_x=0.0, r=0.0),
                         ModelParams(beta_x=0.0, beta_e=beta_e, gamma=gamma),
                         0.1, 1000)
         sir = integrate_sir((1.0 - i0, i0, 0.0), (beta_e, gamma), 0.1, 1000)
@@ -106,8 +104,7 @@ def test_criterion_03_zero_seed_behavior():
         beta_x = rng.uniform(0.01, 1.0)
         beta_e = rng.uniform(0.0, 1.0)
         gamma = rng.uniform(0.0, 1.0)
-        exo = integrate(exo_sir_rhs,
-                        CompartmentState(s=1.0, i_e=0.0, i_x=0.0, r=0.0),
+        exo = integrate(CompartmentState(s=1.0, i_e=0.0, i_x=0.0, r=0.0),
                         ModelParams(beta_x=beta_x, beta_e=beta_e, gamma=gamma),
                         0.1, 20)
         sir = integrate_sir((1.0, 0.0, 0.0), (beta_e, gamma), 0.1, 20)
@@ -145,7 +142,7 @@ def test_criterion_04_endogenous_boost_direction():
             params=ModelParams(beta_x=beta_x, beta_e=beta_e, gamma=gamma),
             initial=CompartmentState(s=0.999996, i_e=1e-6, i_x=3e-6, r=0.0),
             diagnostics={})
-        comparison = counterfactual(fitted)
+        comparison = counterfactual_runs(fitted)[2]
         if comparison.with_ix.peak_value >= comparison.without_ix.peak_value:
             value_ok += 1
         if comparison.with_ix.peak_tick <= comparison.without_ix.peak_tick:
@@ -264,7 +261,7 @@ def test_criterion_08_closed_loop_fitting():
         beta_x = 10.0 ** rng.uniform(-4.0, -2.0)
         params = ModelParams(beta_x=beta_x, beta_e=beta_e, gamma=gamma)
         initial = CompartmentState(s=0.999996, i_e=1e-6, i_x=3e-6, r=0.0)
-        traj = integrate(exo_sir_rhs, initial, params, 1.0, 4096)
+        traj = integrate(initial, params, 1.0, 4096)
         fitted = estimate_params(normalize(export_observed(traj, 1_000_000)))
         for name, truth in (("beta_x", beta_x), ("beta_e", beta_e), ("gamma", gamma)):
             worst = max(worst, abs(getattr(fitted.params, name) - truth) / truth)

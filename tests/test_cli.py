@@ -467,9 +467,9 @@ def _crafted_fit_inputs(directory: Path) -> list[str]:
 
 
 _BUNDLED_NOTE = ["note: raw cases row 56 rejected: unparseable date '31/02/2020'"]
-# sha256 of comparison.json, with_ix.csv and without_ix.csv, and the exact
-# stderr lines, as written before build_observed stopped merging the event
-# counts into a second series. The fitted slopes go through np.dot, so the
+# sha256 of comparison.json, with_ix.csv and without_ix.csv, as written
+# before build_observed stopped merging the event counts into a second series,
+# and the exact stderr lines. The fitted slopes go through np.dot, so the
 # digests assume numpy's float64 dot product rounds as on x86-64.
 GOLDEN_FIT = {
     "tn": (_BUNDLED_NOTE, (
@@ -494,6 +494,8 @@ GOLDEN_FIT = {
         "warning: observed series: kl: event count 7 on 2020-03-04 exceeds daily_confirmed 5",
         "warning: observed series: kl: event count 1 on 2020-03-01 exceeds daily_confirmed 0",
         "warning: observed series: kl: event count 9 on 2020-03-06 exceeds daily_confirmed 7",
+        "warning: kl: no endogenous cases on the first day (2020-03-01); "
+        "the run without i_x stays at 0",
     ], ("37641d7f5df57b246a3c92c99dcc71c36c16ebe9d1211dc745606395abba6683",
         "516fca45b6b6af96a5684e13b1d1ecf5f4fe14b7f4a2dfe009d07f2c0d8e083a",
         "4666f0616cfeca54ee35c5ff209806087b20ef4edb9a498e5fcdc0b26ad4a717")),

@@ -9,12 +9,11 @@ import pytest
 from exosir import fitting
 from exosir.errors import (HorizonError, IntegrationError, ParameterError, ScaleError,
                            UnidentifiableParameterError)
-from exosir.fitting import (FittedParams, NormalizedSeries, counterfactual,
-                            counterfactual_runs, estimate_params,
-                            export_observed, fold_out_exogenous, normalize)
+from exosir.fitting import (FittedParams, NormalizedSeries, counterfactual_runs,
+                            estimate_params, export_observed, fold_out_exogenous,
+                            normalize)
 from exosir.ingest import ObservedSeries
-from exosir.model import (CompartmentState, ModelParams, exo_sir_rhs,
-                          integrate)
+from exosir.model import CompartmentState, ModelParams, integrate
 
 START = dt.date(2020, 1, 30)
 
@@ -159,7 +158,7 @@ def test_estimate_initial_is_day_zero_state():
 
 
 def _simulate_export(params, initial, n_steps, pop):
-    traj = integrate(exo_sir_rhs, initial, params, 1.0, n_steps)
+    traj = integrate(initial, params, 1.0, n_steps)
     return export_observed(traj, pop)
 
 
@@ -212,7 +211,7 @@ def test_fold_out_exogenous_mass_exact():
 
 def test_counterfactual_trivial_when_no_exogenous_channel():
     fitted = _fitted(0.0, 0.4, 0.1, 0.99, 0.01, 0.0)
-    comparison = counterfactual(fitted)
+    comparison = counterfactual_runs(fitted)[2]
     assert comparison.peak_value_ratio == 1.0
     assert comparison.peak_advance_days == 0.0
     assert comparison.with_ix == comparison.without_ix
@@ -221,10 +220,10 @@ def test_counterfactual_trivial_when_no_exogenous_channel():
 def test_counterfactual_zero_seed_ratios():
     # nothing ever infected on either side
     silent = _fitted(0.0, 0.3, 0.2, 1.0, 0.0, 0.0)
-    assert counterfactual(silent).peak_value_ratio == 1.0
+    assert counterfactual_runs(silent)[2].peak_value_ratio == 1.0
     # the exogenous seed is the only source, so removing it silences the run
     seeded = _fitted(0.0, 0.3, 0.1, 1.0 - 1e-4, 0.0, 1e-4)
-    comparison = counterfactual(seeded)
+    comparison = counterfactual_runs(seeded)[2]
     assert comparison.without_ix.peak_value == 0.0
     assert comparison.with_ix.peak_value > 0.0
     assert comparison.peak_value_ratio == math.inf
@@ -243,7 +242,7 @@ def test_counterfactual_peak_never_later_with_seeding():
         gamma = rng.uniform(0.05, beta_e - 0.05)
         beta_x = 10.0 ** rng.uniform(-5.0, -2.3)
         fitted = _fitted(beta_x, beta_e, gamma, 0.999996, 1e-6, 3e-6)
-        comparison = counterfactual(fitted)
+        comparison = counterfactual_runs(fitted)[2]
         label = f"beta_x={beta_x!r} beta_e={beta_e!r} gamma={gamma!r}"
         assert comparison.with_ix.peak_tick <= comparison.without_ix.peak_tick, label
         assert comparison.peak_advance_days >= 0.0, label
@@ -260,7 +259,7 @@ def test_counterfactual_value_ratio_converges_at_small_seeding():
         gamma = rng.uniform(0.05, beta_e - 0.05)
         beta_x = 10.0 ** rng.uniform(-8.0, -6.0)
         fitted = _fitted(beta_x, beta_e, gamma, 0.999996, 1e-6, 3e-6)
-        comparison = counterfactual(fitted)
+        comparison = counterfactual_runs(fitted)[2]
         label = f"beta_x={beta_x!r} beta_e={beta_e!r} gamma={gamma!r}"
         assert abs(comparison.peak_value_ratio - 1.0) <= 0.01, label
         assert comparison.with_ix.peak_tick <= comparison.without_ix.peak_tick, label
@@ -269,7 +268,7 @@ def test_counterfactual_value_ratio_converges_at_small_seeding():
 def test_counterfactual_pinned_small_seed_config():
     n = 35_000_000
     fitted = _fitted(1e-7, 0.22, 0.15, 1.0 - 7.0 / n, 4.0 / n, 3.0 / n)
-    comparison = counterfactual(fitted)
+    comparison = counterfactual_runs(fitted)[2]
     assert comparison.peak_value_ratio > 1.0
     assert comparison.peak_value_ratio == pytest.approx(1.000203, abs=1e-5)
     assert comparison.with_ix.peak_tick == 172
@@ -289,7 +288,7 @@ def test_counterfactual_horizon_error():
     # growth rate ~1e-4/day puts the peak far beyond the 4096-day cap
     fitted = _fitted(0.0, 0.02, 0.0199, 1.0 - 1e-6, 1e-6, 0.0)
     with pytest.raises(HorizonError, match="still rising") as exc:
-        counterfactual(fitted)
+        counterfactual_runs(fitted)
     assert "4096" in str(exc.value)
     assert "beta_e=0.02" in str(exc.value)
 
@@ -299,19 +298,19 @@ def test_run_until_peaked_resumes_bitwise(monkeypatch):
     # one integration over the final horizon, bit for bit, and integrates each day once
     params = ModelParams(beta_x=1e-3, beta_e=0.3, gamma=0.1)
     initial = CompartmentState(s=0.998, i_e=1e-3, i_x=1e-3, r=0.0)
-    peak_day = int(np.argmax(integrate(exo_sir_rhs, initial, params, 1.0, 400).i_e))
+    peak_day = int(np.argmax(integrate(initial, params, 1.0, 400).i_e))
     horizon = peak_day // 3
     assert 2 * horizon <= peak_day < 4 * horizon
     calls = []
 
-    def counting(rhs, start, p, step, n_steps, t0=0.0):
+    def counting(start, p, step, n_steps):
         calls.append(n_steps)
-        return integrate(rhs, start, p, step, n_steps, t0)
+        return integrate(start, p, step, n_steps)
 
     monkeypatch.setattr(fitting, "integrate", counting)
     traj = fitting._run_until_peaked(params, initial, horizon)
     assert calls == [horizon, horizon, 2 * horizon]
-    whole = integrate(exo_sir_rhs, initial, params, 1.0, 4 * horizon)
+    whole = integrate(initial, params, 1.0, 4 * horizon)
     for name in ("s", "i_e", "i_x", "r"):
         assert np.array_equal(getattr(traj, name), getattr(whole, name))
     assert np.array_equal(traj.times, whole.times)
@@ -323,10 +322,10 @@ def test_run_until_peaked_numbers_resumed_steps_from_day_0(monkeypatch):
     params = ModelParams(beta_x=1e-3, beta_e=0.3, gamma=0.1)
     initial = CompartmentState(s=0.998, i_e=1e-3, i_x=1e-3, r=0.0)
 
-    def failing_tail(rhs, start, p, step, n_steps, t0=0.0):
+    def failing_tail(start, p, step, n_steps):
         if start is not initial:
             raise IntegrationError("compartment undershoot -1.0", 7)
-        return integrate(rhs, start, p, step, n_steps, t0)
+        return integrate(start, p, step, n_steps)
 
     monkeypatch.setattr(fitting, "integrate", failing_tail)
     with pytest.raises(IntegrationError, match=r"^compartment undershoot -1\.0 \(step 17\)$"):
@@ -336,7 +335,7 @@ def test_run_until_peaked_numbers_resumed_steps_from_day_0(monkeypatch):
 def test_export_requires_day_steps():
     params = ModelParams(beta_x=0.0, beta_e=0.3, gamma=0.1)
     initial = CompartmentState(s=0.99, i_e=0.01, i_x=0.0, r=0.0)
-    traj = integrate(exo_sir_rhs, initial, params, 0.5, 10)
+    traj = integrate(initial, params, 0.5, 10)
     with pytest.raises(ParameterError, match="dt=1"):
         export_observed(traj, 1000)
 
@@ -344,7 +343,7 @@ def test_export_requires_day_steps():
 def test_export_day_zero_carries_initial_state():
     params = ModelParams(beta_x=1e-3, beta_e=0.3, gamma=0.1)
     initial = CompartmentState(s=0.9989, i_e=1e-4, i_x=1e-3, r=0.0)
-    traj = integrate(exo_sir_rhs, initial, params, 1.0, 60)
+    traj = integrate(initial, params, 1.0, 60)
     series = export_observed(traj, 100_000)
     assert series.daily_confirmed[0] == round(1e-4 * 100_000)
     assert series.daily_imported[0] == round(1e-3 * 100_000)
@@ -354,7 +353,7 @@ def test_export_day_zero_carries_initial_state():
 def test_export_cumulative_sums_match_rounded_trajectory():
     params = ModelParams(beta_x=5e-3, beta_e=0.35, gamma=0.12)
     initial = CompartmentState(s=0.999996, i_e=1e-6, i_x=3e-6, r=0.0)
-    traj = integrate(exo_sir_rhs, initial, params, 1.0, 400)
+    traj = integrate(initial, params, 1.0, 400)
     series = export_observed(traj, 1_000_000)
     n_days = len(series) - 1
     for counts, fractions in ((series.daily_confirmed, traj.i_e),
@@ -368,7 +367,7 @@ def test_export_cumulative_sums_match_rounded_trajectory():
 def test_export_cuts_at_earliest_channel_peak():
     params = ModelParams(beta_x=0.01, beta_e=0.3, gamma=0.1)
     initial = CompartmentState(s=0.999996, i_e=1e-6, i_x=3e-6, r=0.0)
-    traj = integrate(exo_sir_rhs, initial, params, 1.0, 500)
+    traj = integrate(initial, params, 1.0, 500)
     series = export_observed(traj, 1_000_000)
     expected = min(int(np.argmax(traj.i_e)), int(np.argmax(traj.i_x)))
     assert len(series) == expected + 1
@@ -377,7 +376,7 @@ def test_export_cuts_at_earliest_channel_peak():
 def test_export_flat_trajectory():
     params = ModelParams(beta_x=0.0, beta_e=0.0, gamma=0.0)
     initial = CompartmentState(s=0.99, i_e=0.01, i_x=0.0, r=0.0)
-    traj = integrate(exo_sir_rhs, initial, params, 1.0, 10)
+    traj = integrate(initial, params, 1.0, 10)
     series = export_observed(traj, 1000)
     assert len(series) == 11
     assert series.daily_confirmed == (10,) + (0,) * 10

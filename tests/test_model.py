@@ -8,8 +8,9 @@ from scipy.integrate import solve_ivp
 
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
 from exosir.model import (CONSERVATION_TOL, UNDERSHOOT_TOL, CompartmentState, ModelParams,
-                          Trajectory, _check_batch, _check_step, endogenous_boost_check,
-                          exo_sir_rhs, integrate, integrate_sir, peak_of, sir_rhs)
+                          SirTrajectory, Trajectory, _check_batch, _check_step,
+                          endogenous_boost_check, exo_sir_rhs, integrate, integrate_sir,
+                          peak_of, sir_rhs)
 
 
 def state(s, i_e, i_x, r):
@@ -79,7 +80,7 @@ def test_state_validation():
 
 def test_integrate_zero_rates_constant():
     init = state(0.6, 0.2, 0.1, 0.1)
-    traj = integrate(exo_sir_rhs, init, ModelParams(0.0, 0.0, 0.0), dt=0.5, n_steps=20)
+    traj = integrate(init, ModelParams(0.0, 0.0, 0.0), dt=0.5, n_steps=20)
     assert len(traj) == 21
     assert (traj.s == 0.6).all() and (traj.i_e == 0.2).all()
     assert (traj.i_x == 0.1).all() and (traj.r == 0.1).all()
@@ -105,7 +106,7 @@ def euler_columns(y0, params, dt, n_steps):
 def test_integrate_matches_euler_oracle_pinned():
     # 10 RK4 steps at dt=0.01 against Euler at dt=1e-5 over the same 0.1 days
     params = ModelParams(beta_x=0.5, beta_e=0.9, gamma=0.1)
-    traj = integrate(exo_sir_rhs, state(1.0, 0.0, 0.0, 0.0), params, dt=0.01, n_steps=10)
+    traj = integrate(state(1.0, 0.0, 0.0, 0.0), params, dt=0.01, n_steps=10)
     s, ie, ix, r = euler_columns(([1.0], [0.0], [0.0], [0.0]), (0.5, 0.9, 0.1),
                                  dt=1e-5, n_steps=10_000)
     final = traj.state_at(10)
@@ -129,7 +130,7 @@ def test_integrate_matches_high_order_oracle_random_rates():
         oracle = solve_ivp(rhs, (0.0, 10.0), [0.97, 0.01, 0.01, 0.01], method="DOP853",
                            rtol=1e-12, atol=1e-14).y[:, -1]
         params = ModelParams(beta_x=bx, beta_e=be, gamma=g)
-        traj = integrate(exo_sir_rhs, state(0.97, 0.01, 0.01, 0.01), params,
+        traj = integrate(state(0.97, 0.01, 0.01, 0.01), params,
                          dt=0.01, n_steps=1000)
         final = traj.state_at(1000)
         dev = max(abs(got - want) for got, want in
@@ -144,7 +145,7 @@ def test_integrate_conserves_and_stays_nonnegative():
         parts = rng.dirichlet((5.0, 1.0, 1.0, 1.0))
         init = state(*(float(v) for v in parts))
         params = ModelParams(*(float(v) for v in rng.uniform(0.0, 1.5, 3)))
-        traj = integrate(exo_sir_rhs, init, params, dt=0.01, n_steps=500)
+        traj = integrate(init, params, dt=0.01, n_steps=500)
         total = traj.s + traj.i_e + traj.i_x + traj.r
         assert np.abs(total - 1.0).max() <= 1e-9
         for arr in (traj.s, traj.i_e, traj.i_x, traj.r):
@@ -154,11 +155,11 @@ def test_integrate_conserves_and_stays_nonnegative():
 def test_integrate_rejects_bad_arguments():
     init = state(0.9, 0.1, 0.0, 0.0)
     with pytest.raises(ParameterError):
-        integrate(exo_sir_rhs, init, ModelParams(0.1, 0.1, 0.1), dt=0.0, n_steps=10)
+        integrate(init, ModelParams(0.1, 0.1, 0.1), dt=0.0, n_steps=10)
     with pytest.raises(ParameterError):
-        integrate(exo_sir_rhs, init, ModelParams(0.1, 0.1, 0.1), dt=0.1, n_steps=0)
+        integrate(init, ModelParams(0.1, 0.1, 0.1), dt=0.1, n_steps=0)
     with pytest.raises(InvalidStateError):
-        integrate(exo_sir_rhs, state(0.5, 0.1, 0.1, 0.1), ModelParams(0.1, 0.1, 0.1),
+        integrate(state(0.5, 0.1, 0.1, 0.1), ModelParams(0.1, 0.1, 0.1),
                   dt=0.1, n_steps=10)
     # SIR runs through the same entry, so it checks its state and rates the same way
     with pytest.raises(InvalidStateError):
@@ -171,7 +172,7 @@ def test_integrate_failure_reports_step_index():
     # dt far beyond stability: s dives below the clamping band within a few steps
     init = state(0.5, 0.5, 0.0, 0.0)
     with pytest.raises(IntegrationError) as err:
-        integrate(exo_sir_rhs, init, ModelParams(beta_x=0.0, beta_e=80.0, gamma=0.0),
+        integrate(init, ModelParams(beta_x=0.0, beta_e=80.0, gamma=0.0),
                   dt=1.0, n_steps=50)
     assert err.value.step >= 1
 
@@ -209,21 +210,8 @@ def test_step_checks_agree_at_the_tolerance_edge():
     assert 0.1 < len(accepted) / len(outcomes) < 0.9
 
 
-def test_integrate_generic_rhs_dispatch():
-    # a wrapped rhs must integrate identically to the fast path
-    def wrapped(st, params):
-        return exo_sir_rhs(st, params)
-
-    init = state(0.95, 0.03, 0.02, 0.0)
-    params = ModelParams(0.05, 0.6, 0.2)
-    fast = integrate(exo_sir_rhs, init, params, dt=0.1, n_steps=100)
-    slow = integrate(wrapped, init, params, dt=0.1, n_steps=100)
-    assert (fast.s == slow.s).all() and (fast.i_e == slow.i_e).all()
-    assert (fast.i_x == slow.i_x).all() and (fast.r == slow.r).all()
-
-
 def test_trajectory_arrays_immutable():
-    traj = integrate(exo_sir_rhs, state(0.9, 0.1, 0.0, 0.0),
+    traj = integrate(state(0.9, 0.1, 0.0, 0.0),
                      ModelParams(0.0, 0.4, 0.1), dt=0.1, n_steps=5)
     with pytest.raises(ValueError):
         traj.s[0] = 0.0
@@ -236,7 +224,7 @@ def test_sir_reduction_within_tolerance():
         for g in (0.1, 0.4):
             for i0 in (0.001, 0.05):
                 init = state(1.0 - i0, i0, 0.0, 0.0)
-                exo = integrate(exo_sir_rhs, init, ModelParams(0.0, be, g), 0.05, 1000)
+                exo = integrate(init, ModelParams(0.0, be, g), 0.05, 1000)
                 sir = integrate_sir((1.0 - i0, i0, 0.0), (be, g), 0.05, 1000)
                 assert np.abs(exo.s - sir.s).max() <= 1e-9
                 assert np.abs(exo.i_e - sir.i).max() <= 1e-9
@@ -250,7 +238,7 @@ def test_sir_reduction_is_bitwise():
     for _ in range(20):
         be, g = (float(v) for v in rng.uniform(0.05, 1.0, 2))
         i0 = float(rng.uniform(1e-4, 0.1))
-        exo = integrate(exo_sir_rhs, state(1.0 - i0, i0, 0.0, 0.0),
+        exo = integrate(state(1.0 - i0, i0, 0.0, 0.0),
                         ModelParams(0.0, be, g), 0.05, 1000)
         sir = integrate_sir((1.0 - i0, i0, 0.0), (be, g), 0.05, 1000)
         assert (exo.i_e == sir.i).all()
@@ -264,7 +252,7 @@ def test_zero_seed_exogenous_growth():
     st = state(1.0, 0.0, 0.0, 0.0)
     ds, di_x, di_e, dr = exo_sir_rhs(st, params)
     assert di_x + di_e == params.beta_x * st.s  # exact: no infected terms yet
-    traj = integrate(exo_sir_rhs, st, params, dt=0.1, n_steps=10)
+    traj = integrate(st, params, dt=0.1, n_steps=10)
     assert traj.i[1] > 0.0
     sir = integrate_sir((1.0, 0.0, 0.0), (0.5, 0.2), dt=0.1, n_steps=10)
     assert (sir.i == 0.0).all()
@@ -275,7 +263,7 @@ def test_zero_seed_exogenous_growth():
 def _traj_from_series(values):
     arr = np.asarray(values, dtype=float)
     zeros = np.zeros_like(arr)
-    return Trajectory(t0=0.0, dt=1.0, s=zeros, i_e=arr, i_x=zeros, r=zeros)
+    return Trajectory(dt=1.0, s=zeros, i_e=arr, i_x=zeros, r=zeros)
 
 
 def test_peak_of_examples():
@@ -287,7 +275,7 @@ def test_peak_of_examples():
 
 def test_peak_of_matches_linear_scan():
     params = ModelParams(beta_x=0.5, beta_e=0.9, gamma=0.1)
-    traj = integrate(exo_sir_rhs, state(1.0, 0.0, 0.0, 0.0), params, dt=0.01, n_steps=10)
+    traj = integrate(state(1.0, 0.0, 0.0, 0.0), params, dt=0.01, n_steps=10)
     best_value, best_tick = traj.i_x[0], 0
     for tick in range(1, len(traj)):
         if traj.i_x[tick] > best_value:
@@ -295,12 +283,19 @@ def test_peak_of_matches_linear_scan():
     peak = peak_of(traj, "i_x")
     assert peak.peak_value == best_value
     assert peak.peak_tick == best_tick
-    assert peak.peak_time == pytest.approx(best_tick * 0.01)
+    assert peak.peak_time == traj.times[best_tick]
 
 
 def test_peak_of_unknown_compartment():
+    with pytest.raises(ParameterError, match=r"^unknown compartment 's', "
+                       r"expected one of \['i', 'i_e', 'i_x'\]$"):
+        peak_of(_traj_from_series([0.1]), "s")
     with pytest.raises(ParameterError):
         peak_of(_traj_from_series([0.1]), "r")
+    sir = SirTrajectory(dt=1.0, s=np.array([0.9]), i=np.array([0.1]), r=np.array([0.0]))
+    for name in ("i_e", "i_x", "s"):
+        with pytest.raises(ParameterError, match=r"expected one of \['i'\]$"):
+            peak_of(sir, name)
 
 
 # --- boost inequality ---
@@ -336,7 +331,7 @@ def test_integrate_stays_on_the_simplex_or_raises(weights, rates, dt, n_steps):
     total = sum(weights)
     initial = state(*(w / total for w in weights))
     try:
-        traj = integrate(exo_sir_rhs, initial, ModelParams(*rates), dt, n_steps)
+        traj = integrate(initial, ModelParams(*rates), dt, n_steps)
     except IntegrationError:
         return
     for series in (traj.s, traj.i_e, traj.i_x, traj.r):

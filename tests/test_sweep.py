@@ -10,7 +10,7 @@ import pytest
 
 from exosir import sweep
 from exosir.errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
-from exosir.model import (CompartmentState, ModelParams, _exo_sir_f, exo_sir_rhs, integrate,
+from exosir.model import (CompartmentState, ModelParams, _exo_sir_f, integrate,
                           peak_of, rk4_step)
 from exosir.sweep import (DEFAULT_DT, DEFAULT_HORIZON, SETTLE_DT_RATES, SWEEP_INITIAL,
                           _settle_eligible, _settled, fit_ols, run_sweep, sample_grid,
@@ -93,7 +93,7 @@ def _scalar_peak(triple, dt=DEFAULT_DT, horizon=DEFAULT_HORIZON):
     params = ModelParams(*(float(v) for v in triple))
     n_steps = horizon
     while True:
-        traj = integrate(exo_sir_rhs, CompartmentState(*SWEEP_INITIAL), params, dt, n_steps)
+        traj = integrate(CompartmentState(*SWEEP_INITIAL), params, dt, n_steps)
         peak = peak_of(traj, "i_e")
         if peak.peak_tick < n_steps:
             return peak.peak_value, peak.peak_tick
