@@ -19,9 +19,8 @@ from .fitting import (FittedParams, NormalizedSeries, PeakComparison,
 from .ingest import (IngestReport, ObservedSeries, RawCaseRecord,
                      build_observed, load_populations, parse_event_counts,
                      parse_raw_cases, parse_states_daily)
-from .model import (CompartmentState, ModelParams, PeakStats, SirTrajectory,
-                    Trajectory, endogenous_boost_check, exo_sir_rhs, integrate,
-                    integrate_sir, peak_of, sir_rhs)
+from .model import (CompartmentState, ModelParams, PeakStats, Trajectory,
+                    endogenous_boost_check, exo_sir_rhs, integrate, peak_of)
 from .network import (CombinationSummary, ContactGraph, NodeStatus, SimOutcome,
                       generate_ba_graph, run_experiment, run_simulation, step)
 from .regression import RegressionReport, fit_linear, t_critical, t_sf_two_sided
@@ -37,13 +36,12 @@ __all__ = [
     "NumericalError", "ObservedSeries", "ParameterError", "PeakComparison",
     "PeakStats", "RawCaseRecord", "RegressionReport", "ScaleError",
     "ScalingDomainError", "SchemaError", "SimOutcome", "SingularDesignError",
-    "SirTrajectory", "Trajectory",
-    "UnidentifiableParameterError", "build_observed", "counterfactual_runs",
+    "Trajectory", "UnidentifiableParameterError", "build_observed", "counterfactual_runs",
     "endogenous_boost_check", "estimate_params", "exo_sir_rhs",
     "export_observed", "fit_linear", "fit_ols",
-    "fold_out_exogenous", "generate_ba_graph", "integrate", "integrate_sir",
+    "fold_out_exogenous", "generate_ba_graph", "integrate",
     "load_populations", "normalize", "parse_event_counts", "parse_raw_cases",
     "parse_states_daily", "peak_of", "run_experiment", "run_simulation",
-    "run_sweep", "sample_grid", "scale_log_peaks", "sir_rhs", "step",
+    "run_sweep", "sample_grid", "scale_log_peaks", "step",
     "t_critical", "t_sf_two_sided",
 ]

@@ -22,7 +22,7 @@ from .fitting import (DEFAULT_HORIZON_DAYS, counterfactual_runs,
                       estimate_params, normalize)
 from .ingest import (build_observed, load_populations, parse_event_counts,
                      parse_raw_cases, parse_states_daily)
-from .model import CompartmentState, ModelParams, integrate, integrate_sir, peak_of
+from .model import CompartmentState, ModelParams, integrate, peak_of
 from .network import DEFAULT_GRID_AXIS, DEFAULT_MAX_TICKS, CombinationSummary, run_experiment
 from .sweep import (DEFAULT_DT, DEFAULT_K, DEFAULT_SEED, fit_ols, run_sweep,
                     sample_grid, scale_log_peaks)
@@ -65,22 +65,22 @@ def _initial_state(s: float, i_e: float, i_x: float, r: float) -> CompartmentSta
 def cmd_simulate(args) -> int:
     out = resolve_out_dir(args.out)
     if args.model == "exo":
-        params = ModelParams(beta_x=args.beta_x, beta_e=args.beta_e, gamma=args.gamma)
-        s0 = args.s0 if args.s0 is not None else 1.0 - args.ie0 - args.ix0 - args.r0
-        initial = _initial_state(s0, args.ie0, args.ix0, args.r0)
-        traj = integrate(initial, params, args.dt, args.steps)
+        ie0, ix0, beta_x = args.ie0, args.ix0, args.beta_x
+    else:  # classical SIR is Exo-SIR with no exogenous channel
+        ie0, ix0, beta_x = args.i0, 0.0, 0.0
+    params = ModelParams(beta_x=beta_x, beta_e=args.beta_e, gamma=args.gamma)
+    s0 = args.s0 if args.s0 is not None else 1.0 - ie0 - ix0 - args.r0
+    traj = integrate(_initial_state(s0, ie0, ix0, args.r0), params, args.dt, args.steps)
+    if args.model == "exo":
         _write(os.path.join(out, "trajectory.csv"),
                csv_columns_text(("t", "s", "i_e", "i_x", "r"),
                                 (traj.times, traj.s, traj.i_e, traj.i_x, traj.r)))
         peaks = {name: _peak_dict(peak_of(traj, name)) for name in ("i_e", "i_x", "i")}
     else:
-        s0 = args.s0 if args.s0 is not None else 1.0 - args.i0 - args.r0
-        _initial_state(s0, args.i0, 0.0, args.r0)  # SIR is the exo state with i_x = 0
-        traj = integrate_sir((s0, args.i0, args.r0), (args.beta_e, args.gamma),
-                             args.dt, args.steps)
         _write(os.path.join(out, "trajectory.csv"),
-               csv_columns_text(("t", "s", "i", "r"), (traj.times, traj.s, traj.i, traj.r)))
-        peaks = {"i": _peak_dict(peak_of(traj, "i"))}
+               csv_columns_text(("t", "s", "i", "r"), (traj.times, traj.s, traj.i_e, traj.r)))
+        # i_e, not i: i_e + i_x would turn an initial -0.0 into 0.0
+        peaks = {"i": _peak_dict(peak_of(traj, "i_e"))}
     _write(os.path.join(out, "peaks.json"), json_text(peaks))
     return 0
 

@@ -124,15 +124,22 @@ def _numbered_rows(reader: csv.DictReader, where: str):
 
 
 def _header_map(fieldnames, required, where: str) -> dict[str, str]:
-    """Case-insensitive lookup of required column names; extras are ignored."""
+    """Case-insensitive lookup of required column names; extras are ignored.
+
+    A required name that more than one header column matches is a schema
+    error, since no column can be preferred.
+    """
     if not fieldnames:
         raise SchemaError(f"{where}: empty input, no header row")
-    lowered = {name.strip().lower(): name for name in fieldnames if name is not None}
     mapping = {}
     for want in required:
-        if want.lower() not in lowered:
+        names = [name for name in fieldnames
+                 if name is not None and name.strip().lower() == want.lower()]
+        if not names:
             raise SchemaError(f"{where}: missing required column {want!r}")
-        mapping[want] = lowered[want.lower()]
+        if len(names) > 1:
+            raise SchemaError(f"{where}: column {want!r} appears more than once")
+        mapping[want] = names[0]
     return mapping
 
 
@@ -296,17 +303,25 @@ def build_observed(raw_records: list[RawCaseRecord],
     return series, report
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that also keeps its key/value pairs, repeated keys included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def load_populations(path) -> dict[str, int]:
     """State code -> population N mapping from a JSON config file."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_JsonObject)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read population config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"population config must be a JSON object, got {type(data).__name__}")
     out = {}
-    for code, value in data.items():
+    for code, value in data.pairs:
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise ConfigError(f"population for {code!r} must be a positive integer, got {value!r}")
         if code.lower() in out:

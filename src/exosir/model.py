@@ -1,9 +1,11 @@
-"""Exo-SIR and SIR right-hand sides, a fixed-step RK4 integrator, and peak statistics.
+"""The Exo-SIR right-hand side, a fixed-step RK4 integrator, and peak statistics.
 
 The Exo-SIR model splits the infected compartment by origin: i_e grows through
 contact with infected people (rate beta_e), i_x grows straight from the
 susceptible pool (rate beta_x, the exogenous channel), and both recover at
-rate gamma. All compartments are population fractions.
+rate gamma. All compartments are population fractions. Classical SIR is
+Exo-SIR with beta_x = 0 and i_x = 0: integrate that state, and (s, i_e, r)
+is the SIR trajectory.
 """
 
 from __future__ import annotations
@@ -99,23 +101,6 @@ class Trajectory:
         )
 
 
-@dataclass(frozen=True)
-class SirTrajectory:
-    """Fixed-step SIR trajectory (s, i, r) from t = 0."""
-
-    dt: float
-    s: np.ndarray
-    i: np.ndarray
-    r: np.ndarray
-
-    def __len__(self) -> int:
-        return self.s.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.s.size)
-
-
 def exo_sir_rhs(state: CompartmentState, params: ModelParams) -> tuple[float, float, float, float]:
     """Exo-SIR derivatives (ds, di_x, di_e, dr) at the given state.
 
@@ -127,19 +112,6 @@ def exo_sir_rhs(state: CompartmentState, params: ModelParams) -> tuple[float, fl
     if not (math.isfinite(s) and math.isfinite(i_e) and math.isfinite(i_x) and math.isfinite(r)):
         raise InvalidStateError(f"non-finite state: {state!r}")
     return _exo_sir_f(params.beta_x, params.beta_e, params.gamma)(s, i_e, i_x, r)
-
-
-def sir_rhs(state: tuple[float, float, float], params: tuple[float, float]) -> tuple[float, float, float]:
-    """Classic SIR derivatives (ds, di, dr) for state (s, i, r) and params (beta, gamma).
-
-    Exo-SIR with beta_x = 0 and i_x = 0; only the sign of a zero can differ
-    from evaluating the SIR formulas directly.
-    """
-    s, i, r = state
-    if not (math.isfinite(s) and math.isfinite(i) and math.isfinite(r)):
-        raise InvalidStateError(f"non-finite state: {state!r}")
-    ds, _, di, dr = _exo_sir_f(0.0, *params)(s, i, 0.0, r)
-    return (ds, di, dr)
 
 
 def check_step_size(dt: float) -> None:
@@ -269,24 +241,9 @@ def integrate(initial: CompartmentState, params: ModelParams,
     return Trajectory(dt=dt, s=S, i_e=IE, i_x=IX, r=R)
 
 
-def integrate_sir(initial: tuple[float, float, float], params: tuple[float, float],
-                  dt: float, n_steps: int) -> SirTrajectory:
-    """Integrate classic SIR as Exo-SIR with beta_x = 0 and i_x = 0.
-
-    With no exogenous channel the Exo-SIR step performs the same float
-    operations as an SIR step, so (s, i_e, r) is the SIR trajectory.
-    """
-    (s, i, r), (beta, gamma) = initial, params
-    traj = integrate(CompartmentState(s, i, 0.0, r), ModelParams(0.0, beta, gamma), dt, n_steps)
-    return SirTrajectory(dt=dt, s=traj.s, i=traj.i_e, r=traj.r)
-
-
-_INFECTED = {Trajectory: ("i_e", "i_x", "i"), SirTrajectory: ("i",)}
-
-
-def peak_of(traj: Trajectory | SirTrajectory, compartment: str = "i_e") -> PeakStats:
+def peak_of(traj: Trajectory, compartment: str = "i_e") -> PeakStats:
     """Peak statistics of one infected series; ties broken by the earliest index."""
-    names = _INFECTED[type(traj)]
+    names = ("i_e", "i_x", "i")
     if compartment not in names:
         raise ParameterError(f"unknown compartment {compartment!r}, expected one of "
                              f"{sorted(names)}")

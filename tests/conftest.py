@@ -1,6 +1,9 @@
-"""Shared test helpers: an OLS oracle independent of the library under test."""
+"""Shared test helpers: an OLS oracle and a classical SIR integrator, both
+independent of the library under test."""
 
 import math
+
+import numpy as np
 
 
 def _gauss_jordan_inverse(matrix):
@@ -46,3 +49,30 @@ def ols_oracle(y, rows):
     r2 = 1.0 if tss == 0.0 else 1.0 - rss / tss
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
     return beta, se, adj
+
+
+def sir_rk4(initial, params, dt, n_steps):
+    """Classical SIR (s, i, r) by fixed-step RK4, written in its own (s, i, r) form.
+
+    ds = -beta*s*i, di = beta*s*i - gamma*i, dr = gamma*i, with the stages and
+    their combination in the order of model.rk4_step. Returns three arrays of
+    n_steps + 1 values.
+    """
+    beta, gamma = params
+
+    def f(s, i, r):
+        return -beta * s * i, beta * s * i - gamma * i, gamma * i
+
+    s, i, r = initial
+    out = [(s, i, r)]
+    half, sixth = dt / 2.0, dt / 6.0
+    for _ in range(n_steps):
+        ds1, di1, dr1 = f(s, i, r)
+        ds2, di2, dr2 = f(s + half * ds1, i + half * di1, r + half * dr1)
+        ds3, di3, dr3 = f(s + half * ds2, i + half * di2, r + half * dr2)
+        ds4, di4, dr4 = f(s + dt * ds3, i + dt * di3, r + dt * dr3)
+        s, i, r = (s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4),
+                   i + sixth * (di1 + 2.0 * di2 + 2.0 * di3 + di4),
+                   r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))
+        out.append((s, i, r))
+    return tuple(np.array(column) for column in zip(*out))

@@ -232,6 +232,25 @@ def test_invalid_initial_state_exits_1(tmp_path, capsys, flags):
     assert "invalid initial state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, seed_flag", [("exo", "--ie0"), ("sir", "--i0")],
+                         ids=["exo", "sir"])
+def test_simulate_reports_a_bad_rate_before_a_bad_state(tmp_path, capsys, model, seed_flag):
+    # both models take one path, so they check the rates first and the initial state second
+    code = main(["simulate", "--model", model, "--beta-e=-1", seed_flag, "1.5",
+                 "--s0", "0.5", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: beta_e must be nonnegative, got -1.0\n"
+
+
+def test_simulate_sir_keeps_the_sign_of_a_zero_seed(tmp_path):
+    # the "i" peak is read from i_e alone: i_e + i_x would turn -0.0 into 0.0
+    assert main(["simulate", "--model", "sir", "--i0=-0.0", "--s0", "1", "--steps", "3",
+                 "--out", str(tmp_path)]) == 0
+    peaks = (tmp_path / "peaks.json").read_text()
+    assert '"peak_value": -0.0,' in peaks
+    assert (tmp_path / "trajectory.csv").read_text().splitlines()[1] == "0.0,1.0,-0.0,0.0"
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--dt", "nan"],
     ["simulate", "--model", "sir", "--dt", "inf"],

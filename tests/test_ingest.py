@@ -145,6 +145,10 @@ def test_parse_event_counts():
     events, report = parse_event_counts(io.StringIO(""))
     assert events == {} and not report.rejects
 
+    # extra columns are ignored, also when one appears twice
+    events, report = parse_event_counts(io.StringIO("date,count,note,Note\n2020-03-01,4,a,b\n"))
+    assert events == {dt.date(2020, 3, 1): 4} and not report.rejects
+
     with pytest.raises(NegativeCountError):
         parse_event_counts(io.StringIO("date,count\n2020-03-05,-1\n"))
 
@@ -259,6 +263,10 @@ def test_load_populations(tmp_path):
     path.write_text('{"tn": 72000000, "TN": 5}')  # one state twice after lowercasing
     with pytest.raises(ConfigError, match="'TN'"):
         load_populations(path)
+    path.write_text('{"kl": 5, "kl": 6}')  # a plain json.load would keep the last value
+    with pytest.raises(ConfigError, match=r"^population config repeats state 'kl' "
+                                          r"\(case-insensitive\)$"):
+        load_populations(path)
 
 
 def test_bom_input_parses(tmp_path):
@@ -287,6 +295,23 @@ def test_bare_carriage_return_is_a_schema_error_naming_the_row(name):
         _PARSERS[name](io.StringIO(text))
     with pytest.raises(SchemaError, match=f"{name} row 1"):
         _PARSERS[name](io.StringIO("date\r,count\n"))
+
+
+# per parser: a header whose required column appears twice, differing in case, and its name
+_TWICE = {
+    "raw cases": ("DateAnnounced,DetectedState,TypeOfTransmission,detectedstate\n"
+                  "2020-03-01,Kerala,Imported,Rajasthan\n", "DetectedState"),
+    "states daily": ("date,status,KL,kl\n2020-03-01,confirmed,5,7\n", "kl"),
+    "event counts": ("Date,count,date\n2020-03-01,4,2020-03-02\n", "date"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWICE))
+def test_required_column_twice_is_a_schema_error(name):
+    # no column can be preferred, so neither is read
+    text, column = _TWICE[name]
+    with pytest.raises(SchemaError, match=f"^{name}: column '{column}' appears more than once$"):
+        _PARSERS[name](io.StringIO(text))
 
 
 # the last entry is a well-formed header that none of the parsers expects

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from conftest import sir_rk4
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
 from exosir.model import (CONSERVATION_TOL, UNDERSHOOT_TOL, CompartmentState, ModelParams,
-                          SirTrajectory, Trajectory, _check_batch, _check_step,
-                          endogenous_boost_check, exo_sir_rhs, integrate, integrate_sir,
-                          peak_of, sir_rhs)
+                          Trajectory, _check_batch, _check_step, endogenous_boost_check,
+                          exo_sir_rhs, integrate, peak_of)
 
 
 def state(s, i_e, i_x, r):
@@ -46,19 +46,19 @@ def test_exo_rhs_derivatives_sum_to_zero():
 
 
 def test_exo_rhs_nonfinite_state_rejected():
-    with pytest.raises(InvalidStateError):
-        exo_sir_rhs(state(float("nan"), 0.0, 0.0, 1.0), ModelParams(0.1, 0.1, 0.1))
+    for bad in (state(float("nan"), 0.0, 0.0, 1.0), state(float("inf"), 0.0, 0.0, 0.0)):
+        with pytest.raises(InvalidStateError):
+            exo_sir_rhs(bad, ModelParams(0.1, 0.1, 0.1))
 
 
 def test_sir_rhs_values():
-    assert sir_rhs((1.0, 0.0, 0.0), (0.9, 0.1)) == (0.0, 0.0, 0.0)
-    assert sir_rhs((0.9, 0.1, 0.0), (1.0, 0.5)) == pytest.approx((-0.09, 0.04, 0.05), rel=1e-12)
-    assert sir_rhs((0.0, 0.5, 0.5), (2.0, 1.0)) == pytest.approx((0.0, -0.5, 0.5), rel=1e-12)
+    # classical SIR is Exo-SIR with beta_x = 0 and i_x = 0; output order (ds, di_x, di, dr)
+    def sir(s, i, r, beta, gamma):
+        return exo_sir_rhs(state(s, i, 0.0, r), ModelParams(0.0, beta, gamma))
 
-
-def test_sir_rhs_nonfinite_rejected():
-    with pytest.raises(InvalidStateError):
-        sir_rhs((float("inf"), 0.0, 0.0), (1.0, 0.5))
+    assert sir(1.0, 0.0, 0.0, 0.9, 0.1) == (0.0, 0.0, 0.0, 0.0)
+    assert sir(0.9, 0.1, 0.0, 1.0, 0.5) == pytest.approx((-0.09, 0.0, 0.04, 0.05), rel=1e-12)
+    assert sir(0.0, 0.5, 0.5, 2.0, 1.0) == pytest.approx((0.0, 0.0, -0.5, 0.5), rel=1e-12)
 
 
 def test_params_validation():
@@ -161,11 +161,11 @@ def test_integrate_rejects_bad_arguments():
     with pytest.raises(InvalidStateError):
         integrate(state(0.5, 0.1, 0.1, 0.1), ModelParams(0.1, 0.1, 0.1),
                   dt=0.1, n_steps=10)
-    # SIR runs through the same entry, so it checks its state and rates the same way
+    # SIR (beta_x = 0, i_x = 0) checks its state and rates the same way
     with pytest.raises(InvalidStateError):
-        integrate_sir((0.5, 0.1, 0.1), (0.1, 0.1), dt=0.1, n_steps=10)
+        integrate(state(0.5, 0.1, 0.0, 0.1), ModelParams(0.0, 0.1, 0.1), dt=0.1, n_steps=10)
     with pytest.raises(ParameterError, match="beta_e"):
-        integrate_sir((0.9, 0.1, 0.0), (-0.1, 0.1), dt=0.1, n_steps=10)
+        integrate(init, ModelParams(0.0, -0.1, 0.1), dt=0.1, n_steps=10)
 
 
 def test_integrate_failure_reports_step_index():
@@ -225,25 +225,25 @@ def test_sir_reduction_within_tolerance():
             for i0 in (0.001, 0.05):
                 init = state(1.0 - i0, i0, 0.0, 0.0)
                 exo = integrate(init, ModelParams(0.0, be, g), 0.05, 1000)
-                sir = integrate_sir((1.0 - i0, i0, 0.0), (be, g), 0.05, 1000)
-                assert np.abs(exo.s - sir.s).max() <= 1e-9
-                assert np.abs(exo.i_e - sir.i).max() <= 1e-9
-                assert np.abs(exo.r - sir.r).max() <= 1e-9
+                s, i, r = sir_rk4((1.0 - i0, i0, 0.0), (be, g), 0.05, 1000)
+                assert np.abs(exo.s - s).max() <= 1e-9
+                assert np.abs(exo.i_e - i).max() <= 1e-9
+                assert np.abs(exo.r - r).max() <= 1e-9
 
 
 def test_sir_reduction_is_bitwise():
     """With beta_x=0 and i_x=0 the exo stepper performs literally the same
-    float operations as the SIR stepper, so the series match bit for bit."""
+    float operations as a classical SIR stepper, so the series match bit for bit."""
     rng = np.random.default_rng(19)
     for _ in range(20):
         be, g = (float(v) for v in rng.uniform(0.05, 1.0, 2))
         i0 = float(rng.uniform(1e-4, 0.1))
         exo = integrate(state(1.0 - i0, i0, 0.0, 0.0),
                         ModelParams(0.0, be, g), 0.05, 1000)
-        sir = integrate_sir((1.0 - i0, i0, 0.0), (be, g), 0.05, 1000)
-        assert (exo.i_e == sir.i).all()
-        assert (exo.s == sir.s).all()
-        assert (exo.r == sir.r).all()
+        s, i, r = sir_rk4((1.0 - i0, i0, 0.0), (be, g), 0.05, 1000)
+        assert (exo.i_e == i).all()
+        assert (exo.s == s).all()
+        assert (exo.r == r).all()
         assert (exo.i_x == 0.0).all()
 
 
@@ -254,7 +254,7 @@ def test_zero_seed_exogenous_growth():
     assert di_x + di_e == params.beta_x * st.s  # exact: no infected terms yet
     traj = integrate(st, params, dt=0.1, n_steps=10)
     assert traj.i[1] > 0.0
-    sir = integrate_sir((1.0, 0.0, 0.0), (0.5, 0.2), dt=0.1, n_steps=10)
+    sir = integrate(st, ModelParams(0.0, 0.5, 0.2), dt=0.1, n_steps=10)
     assert (sir.i == 0.0).all()
 
 
@@ -292,10 +292,6 @@ def test_peak_of_unknown_compartment():
         peak_of(_traj_from_series([0.1]), "s")
     with pytest.raises(ParameterError):
         peak_of(_traj_from_series([0.1]), "r")
-    sir = SirTrajectory(dt=1.0, s=np.array([0.9]), i=np.array([0.1]), r=np.array([0.0]))
-    for name in ("i_e", "i_x", "s"):
-        with pytest.raises(ParameterError, match=r"expected one of \['i'\]$"):
-            peak_of(sir, name)
 
 
 # --- boost inequality ---
