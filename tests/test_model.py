@@ -51,6 +51,12 @@ def test_exo_rhs_nonfinite_state_rejected():
             exo_sir_rhs(bad, ModelParams(0.1, 0.1, 0.1))
 
 
+def test_sir_rhs_nonfinite_rejected():
+    # the SIR right-hand side is exo_sir_rhs at beta_x = 0, i_x = 0
+    with pytest.raises(InvalidStateError):
+        exo_sir_rhs(state(float("inf"), 0.0, 0.0, 0.0), ModelParams(0.0, 1.0, 0.5))
+
+
 def test_sir_rhs_values():
     # classical SIR is Exo-SIR with beta_x = 0 and i_x = 0; output order (ds, di_x, di, dr)
     def sir(s, i, r, beta, gamma):
