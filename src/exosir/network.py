@@ -126,6 +126,16 @@ def _require_sizes(n: int, m: int) -> None:
     check_array_size(n, f"n={n}")
 
 
+def _require_statuses(statuses, n: int, name: str) -> np.ndarray:
+    """statuses as a new int8 array of shape (n,), each value a NodeStatus."""
+    values = np.asarray(statuses)
+    if values.shape != (n,):
+        raise ParameterError(f"{name} must have shape ({n},), got {values.shape}")
+    if not np.isin(values, list(NodeStatus)).all():
+        raise ParameterError(f"{name} must hold only the NodeStatus values 0, 1, 2 and 3")
+    return values.astype(np.int8)
+
+
 def _require_max_ticks(max_ticks: int) -> None:
     if max_ticks < 1:
         raise ParameterError(f"max_ticks must be >= 1, got {max_ticks!r}")
@@ -141,7 +151,7 @@ def _tick_rates(params: ModelParams) -> tuple[float, float, float]:
     return params.beta_x, 1.0 - (1.0 - params.beta_e), params.gamma
 
 
-def _choose_distinct(rng: np.random.Generator, p: np.ndarray, size: int,
+def _choose_distinct(rng: np.random.Generator | _Draws, p: np.ndarray, size: int,
                      x: np.ndarray) -> list[int]:
     """size distinct indices of p, drawn with probabilities p; p is overwritten.
 
@@ -181,53 +191,149 @@ def _choose_distinct(rng: np.random.Generator, p: np.ndarray, size: int,
 # exceed fl(delta*T) with delta = (2*new + 8)*_PICK_ULP, _PICK_ULP = 2^-51: the check
 # rounds u*T, the difference and delta*T once each, so it proves both distances
 # exceed delta*(1 - 3e) - e, still above (2*new + 4)*e. The accepted picks of a round
-# must also be distinct; otherwise the round is redone on the exact cdf. The search
-# runs over D_0..D_(new-2), so t <= new - 1 and D_t exists even for u near 1.
+# must also be distinct; otherwise the round is redone on the exact cdf.
 _PICK_ULP = 2.0**-51
 
+# Uniforms drawn ahead per graph in one call (see _Draws).
+_DRAW_BLOCK = 4096
 
-def _certified_round(cum: np.ndarray, new: int, x: np.ndarray, total_degree: int):
+
+class _DegreeStore:
+    """One graph's whole-number node degrees as floats: their exact prefix sums in a
+    Fenwick tree (Fenwick 1994), and the degrees in `numpy_degrees`, with `degrees`
+    a memoryview of that array for fast scalar reads and writes from Python.
+
+    tree[i] = d_(i-lowbit(i)) + ... + d_(i-1) for i = 1..size, size a power of two;
+    nodes past the degrees given count as degree 0.
+    """
+
+    def __init__(self, degrees: np.ndarray):
+        n = degrees.size
+        size = 1 << max(n - 1, 0).bit_length()
+        cum = np.zeros(size + 1)
+        cum[1:n + 1] = degrees.cumsum()
+        cum[n + 1:] = cum[n]
+        i = np.arange(size + 1)
+        self.tree = (cum - cum[i - (i & -i)]).tolist()
+        # Descent strides, size/2 down to 1: a descent ends at an index below size.
+        self.strides = [size >> k for k in range(1, size.bit_length())]
+        self.numpy_degrees = degrees.astype(float)
+        self.degrees = memoryview(self.numpy_degrees)
+
+    def increment(self, nodes: list[int]) -> None:
+        """Add 1 to the degree of each node listed."""
+        tree, degrees, size = self.tree, self.degrees, len(self.tree) - 1
+        for t in nodes:
+            degrees[t] += 1.0
+            i = t + 1
+            while i <= size:
+                tree[i] += 1.0
+                i += i & -i
+
+
+def _certified_round(store: _DegreeStore, new: int, x, total_degree: int):
     """The first-round picks of _choose_distinct for uniforms x at arriving node new,
     or None where the derivation above does not prove them.
 
-    cum holds the exact cumulative degrees: cum[k + 1] = D_k, cum[0] = 0.
+    The degrees of nodes below new sum to total_degree. Per uniform, one descent of
+    the tree finds t, the count of D_k <= y = fl(u*T), and leaves y - D_(t-1), which
+    is exact: D_(t-1) is a whole number no larger than y. D_t - y is then
+    d_t - (y - D_(t-1)), rounded once as the direct difference would be. y < T
+    for every u < 1, so t < new; t is still checked before d_t is read, and a
+    descent that ran off the end of the tree leaves y - D_(t-1) >= d_t, which fails.
     """
-    y = x * total_degree
-    found = cum[1:new].searchsorted(y, side="right").tolist()
-    if len(set(found)) < len(found):
-        return None
     slack = (2 * new + 8) * _PICK_ULP * total_degree
-    for t, v in zip(found, y.tolist()):
-        if not (v - cum.item(t) > slack and cum.item(t + 1) - v > slack):
+    tree, strides, degrees = store.tree, store.strides, store.degrees
+    found = []
+    for u in x:
+        y = u * total_degree
+        t = 0
+        for stride in strides:
+            below = tree[t + stride]
+            if below <= y:
+                t += stride
+                y -= below
+        if t >= new or not (y > slack and degrees[t] - y > slack) or t in found:
             return None
+        found.append(t)
     return found
 
 
+class _Draws:
+    """The uniforms of one generator in stream order, drawn ahead in blocks.
+
+    rng.random(a) then rng.random(b) is the same stream as rng.random(a + b), so a
+    caller that never asks for more ahead than it will take leaves rng where one
+    draw per request would. random(shape) serves _choose_distinct's redraws.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.block: list[float] = []
+        self.at = 0
+
+    def take(self, k: int, ahead: int = 0) -> list[float]:
+        """The next k uniforms. When they are not all drawn yet, the block is refilled
+        to max(k, min(_DRAW_BLOCK, ahead)) uniforms, so ahead must not exceed the
+        number still to be taken, these k included."""
+        at, end = self.at, self.at + k
+        if end > len(self.block):
+            rest = self.block[at:]
+            wanted = max(k, min(_DRAW_BLOCK, ahead)) - len(rest)
+            self.block = rest + self.rng.random(wanted).tolist()
+            at, end = 0, k
+        self.at = end
+        return self.block[at:end]
+
+    def random(self, shape: tuple[int]) -> np.ndarray:
+        return np.array(self.take(*shape))
+
+
+def _grow_picks(n: int, m: int, rng: np.random.Generator) -> list[int]:
+    """The m targets of each arriving node m+1..n-1 of one graph, in draw order.
+
+    A round whose picks are certified costs O(m log n); the rest, and rounds with
+    a repeated pick, go through _choose_distinct on the same uniforms.
+    """
+    # Every node has degree m when it arrives; later nodes are not read before.
+    store = _DegreeStore(np.full(n, float(m)))
+    draws = _Draws(rng)
+    picks: list[int] = []
+    total_degree = m * (m + 1)
+    for new in range(m + 1, n):
+        x = draws.take(m, m * (n - new))
+        found = _certified_round(store, new, x, total_degree)
+        if found is None:
+            p = store.numpy_degrees[:new] / total_degree
+            found = _choose_distinct(draws, p, m, np.array(x))
+        store.increment(found)
+        picks.extend(found)
+        total_degree += 2 * m
+    return picks
+
+
 def _grow_ba_edges(n: int, m: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """One preferential-attachment graph per generator, grown side by side.
+    """One preferential-attachment graph per generator.
 
     Returns (owner, neighbor) node indices of shape (graphs, directed edges);
     row g holds the edges of the graph grown from rngs[g] alone, with the
     draws of one rng.choice(replace=False, p=degree share) per arriving node.
     For m = 1 there is one uniform per arriving node and never a redraw, so a
     row's uniforms are drawn at once: rng.random(n - 2) is the same stream as
-    n - 2 calls of rng.random(1). The row-wise cumsum and normalisation are
-    the per-graph ones bit for bit, and on a sorted cdf the count of cdf <= u
-    is searchsorted(u, side="right"). For m >= 2 the draws depend on the data
-    (a duplicate is redrawn), so each row draws its m uniforms per node from
-    its own generator. A row keeps its exact cumulative degrees, and a pick
-    whose uniform lies clear of its interval's ends is certified equal to the
-    float cdf's (derivation above) in O(log n); the rest, and rounds with a
-    repeated pick, go through _choose_distinct on the same uniforms.
+    n - 2 calls of rng.random(1). The graphs grow side by side; the row-wise
+    cumsum and normalisation are the per-graph ones bit for bit, and on a
+    sorted cdf the count of cdf <= u is searchsorted(u, side="right"). For
+    m >= 2 the draws depend on the data (a duplicate is redrawn), so each
+    graph grows on its own (_grow_picks).
     """
     _require_sizes(n, m)
     graphs = len(rngs)
     arrivals = n - m - 1
-    # Whole numbers held as floats: exact, and the divisions below need no cast.
-    # Every node has degree m when it arrives; later nodes are not read before.
-    total_degree = m * (m + 1)
     if m == 1:
+        # Whole numbers held as floats: exact, and the division needs no cast.
+        # Every node has degree 1 when it arrives; later nodes are not read before.
         degrees = np.ones((graphs, n))
+        total_degree = 2
         uniforms = np.empty((graphs, arrivals))
         for row, rng in zip(uniforms, rngs):
             rng.random(out=row)
@@ -242,20 +348,8 @@ def _grow_ba_edges(n: int, m: int, rngs) -> tuple[np.ndarray, np.ndarray]:
             chosen[:, new - 2] = targets
             total_degree += 2
     else:
-        # cumulative[g, k + 1] = D_k, the degrees of nodes 0..k of graph g; cumulative[g, 0] = 0
-        cumulative = np.tile(np.arange(n + 1) * float(m), (graphs, 1))
-        picks: list[list[int]] = [[] for _ in rngs]
-        for new in range(m + 1, n):
-            for rng, cum, picked in zip(rngs, cumulative, picks):
-                x = rng.random((m,))
-                found = _certified_round(cum, new, x, total_degree)
-                if found is None:
-                    found = _choose_distinct(rng, np.diff(cum[:new + 1]) / total_degree, m, x)
-                for t in found:
-                    cum[t + 1:] += 1.0
-                picked.extend(found)
-            total_degree += 2 * m
-        chosen = np.array(picks, dtype=np.intp).reshape(graphs, arrivals * m)
+        chosen = np.array([_grow_picks(n, m, rng) for rng in rngs],
+                          dtype=np.intp).reshape(graphs, arrivals * m)
     # The (m+1)-clique's m(m+1) directed edges, a ascending, then b != a ascending.
     clique_a = np.repeat(np.arange(m + 1), m)
     clique_b = np.tile(np.arange(m), m + 1)
@@ -306,17 +400,18 @@ def _tick(statuses: np.ndarray, owner: np.ndarray, neighbor: np.ndarray, u: np.n
 
 def step(graph: ContactGraph, statuses: np.ndarray, params: ModelParams,
          rng: np.random.Generator) -> np.ndarray:
-    """One synchronous update; returns a new status array.
+    """One synchronous update; returns a new int8 status array.
 
-    Consumes exactly three uniform draws per node per tick (exogenous,
-    endogenous, recovery, in that order) so runs are reproducible.
+    The rates are per-tick probabilities and must lie in [0, 1]. Consumes
+    exactly three uniform draws per node per tick (exogenous, endogenous,
+    recovery, in that order) so runs are reproducible.
 
     Known defect, kept so results stay reproducible: k is 1 when a node has
     any infected neighbor and 0 otherwise, not the number of infected
     neighbors.
     """
-    if statuses.shape != (graph.n,):
-        raise ParameterError(f"statuses must have shape ({graph.n},), got {statuses.shape}")
+    _require_probabilities(params)
+    statuses = _require_statuses(statuses, graph.n, "statuses")
     return _tick(statuses[None], graph.owner, graph.neighbor, rng.random((1, 3, graph.n)),
                  *_tick_rates(params))[0]
 
@@ -391,9 +486,7 @@ def run_simulation(graph: ContactGraph, params: ModelParams, rng: np.random.Gene
     if initial_statuses is None:
         statuses = np.full(graph.n, NodeStatus.SUSCEPTIBLE, dtype=np.int8)
     else:
-        statuses = np.asarray(initial_statuses, dtype=np.int8).copy()
-        if statuses.shape != (graph.n,):
-            raise ParameterError(f"initial_statuses must have shape ({graph.n},)")
+        statuses = _require_statuses(initial_statuses, graph.n, "initial_statuses")
     endo, exo = _run_batch(statuses[None], graph.owner[None], graph.neighbor[None],
                            np.array([_tick_rates(params)]), [rng], max_ticks)
     (endo_value,), (endo_tick,) = _peaks(endo)

@@ -112,6 +112,33 @@ def test_ba_exact_path_matches_numpy_choice(monkeypatch, m):
         rounds.clear()
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_ba_deep_tree_matches_exact_path(monkeypatch, m):
+    # at n = 10^4 the degree tree is 14 levels deep, uniforms come in blocks of
+    # _DRAW_BLOCK, and a redraw takes its uniforms from inside a block; growing with
+    # every round on the exact cdf, and blocks of 5, must give the same graph and
+    # generator state
+    n = 10_000
+    choose = network._choose_distinct
+    redraws, rounds = [], []
+    draw_block = network._Draws.random
+    monkeypatch.setattr(network._Draws, "random",
+                        lambda self, shape: redraws.append(1) or draw_block(self, shape))
+    monkeypatch.setattr(network, "_choose_distinct",
+                        lambda *args: rounds.append(1) or choose(*args))
+    fast = np.random.default_rng(m)
+    edges = network._grow_ba_edges(n, m, [fast])
+    assert 0 < len(rounds) < n // 100 and redraws
+    rounds.clear()
+    monkeypatch.setattr(network, "_PICK_ULP", 1.0)
+    monkeypatch.setattr(network, "_DRAW_BLOCK", 5)
+    exact = np.random.default_rng(m)
+    for ours, reference in zip(edges, network._grow_ba_edges(n, m, [exact])):
+        assert np.array_equal(ours, reference)
+    assert fast.bit_generator.state == exact.bit_generator.state
+    assert len(rounds) == n - m - 1
+
+
 def test_certified_round_matches_float_cdf():
     # a round the margin certifies picks what _choose_distinct's float cdf picks. Uniforms
     # sit within a few cdf rounding errors or a few margins of an interval's end, or at the
@@ -131,7 +158,7 @@ def test_certified_round_matches_float_cdf():
         if rng.random() < 0.1:
             x[rng.integers(2)] = rng.choice([0.0, 1.0 - eps])
         x = np.clip(x, 0.0, 1.0 - eps)
-        got = network._certified_round(cum, new, x, total)
+        got = network._certified_round(network._DegreeStore(degrees), new, x.tolist(), total)
         if (x == 0.0).any() or (x == 1.0 - eps).any():
             assert got is None
         cdf = (degrees / total).cumsum()
@@ -140,6 +167,24 @@ def test_certified_round_matches_float_cdf():
             assert got == cdf.searchsorted(x, side="right").tolist()
         outcomes.append(got is not None)
     assert 0.05 < np.mean(outcomes) < 0.5
+
+
+@pytest.mark.parametrize("new", [2, 3, 64, 1000, 4096])
+def test_certified_round_extreme_uniforms_on_power_of_two_total(new):
+    # T = 2**k: u*T is then exact, and u = 1 - 2**-53 falls 2**(k-53) below T, in
+    # the last node's interval. Neither it nor u = 0.0 is certified, and the store
+    # holds exactly the new nodes, so a read past its end would raise IndexError
+    degrees = np.floor(np.random.default_rng(new).pareto(1.2, new) + 1.0)
+    degrees[-1] = 0.0
+    degrees[-1] = 2.0 ** int(degrees.sum()).bit_length() - degrees.sum()
+    total = int(degrees.sum())
+    assert total & (total - 1) == 0 and degrees.min() >= 1
+    store = network._DegreeStore(degrees)
+    for x in ([1.0 - 2.0**-53], [0.0], [0.0, 1.0 - 2.0**-53]):
+        assert network._certified_round(store, new, x, total) is None
+    cdf = (degrees / total).cumsum()
+    cdf /= cdf[-1]
+    assert cdf.searchsorted([0.0, 1.0 - 2.0**-53], side="right").tolist() == [0, new - 1]
 
 
 def test_ba_degree_distribution_heavy_tailed():
@@ -261,12 +306,43 @@ def test_run_simulation_rejects_bad_shapes():
                        initial_statuses=np.zeros(4, dtype=np.int8))
 
 
+@pytest.mark.parametrize("bad", [7, -1, 300, 1.5, np.nan])
+def test_bad_statuses_rejected(bad):
+    # values outside NodeStatus, and non-integer ones, are errors, not wrapped,
+    # truncated or left to overflow
+    graph = generate_ba_graph(10, 1, seed=10)
+    params = ModelParams(0.1, 0.1, 0.1)
+    statuses = np.zeros(10).tolist()
+    statuses[4] = bad
+    starts = [statuses, np.array(statuses)]
+    if float(bad).is_integer():
+        starts.append(np.array(statuses, dtype=np.int64))
+    for start in starts:
+        with pytest.raises(ParameterError, match="NodeStatus"):
+            run_simulation(graph, params, np.random.default_rng(0), initial_statuses=start)
+        with pytest.raises(ParameterError, match="NodeStatus"):
+            step(graph, start, params, np.random.default_rng(0))
+
+
+def test_whole_number_statuses_accepted():
+    graph = generate_ba_graph(10, 1, seed=10)
+    params = ModelParams(0.1, 0.1, 0.1)
+    start = np.arange(10) % 4
+    for statuses in (start, start.astype(float), start.tolist()):
+        ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+        out = step(graph, statuses, params, ours)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, step(graph, start.astype(np.int8), params, reference))
+
+
 def test_rates_above_one_rejected():
     graph = generate_ba_graph(10, 1, seed=10)
     for params in (ModelParams(1.5, 0.1, 0.1), ModelParams(0.1, 2.0, 0.1),
                    ModelParams(0.1, 0.1, 1.0001)):
         with pytest.raises(ParameterError, match=r"\[0, 1\]"):
             run_simulation(graph, params, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            step(graph, np.zeros(10, dtype=np.int8), params, np.random.default_rng(0))
     with pytest.raises(ParameterError, match="gamma"):
         run_experiment(base_seed=3, reps=1, n=10, gamma_axis=(0.5, 1.5))
 
