@@ -38,13 +38,15 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def csv_columns_text(header, columns) -> str:
-    """CSV of a table given as numpy columns: the header line, then one line per row.
+    """CSV of a table given as columns: the header line, then one line per row.
 
-    tolist() yields Python floats and ints; repr writes a float as its shortest
-    round-trip decimal.
+    A numpy column is written through tolist(), which yields Python floats and
+    ints, and repr, which writes a float as its shortest round-trip decimal. A
+    column that is already a list of str is written as it is.
     """
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*(map(repr, col.tolist()) for col in columns))))
+    cells = (col if isinstance(col, list) else map(repr, col.tolist()) for col in columns)
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -186,30 +186,119 @@ def _check_batch(values, step: int):
 
 def _exo_sir_f(beta_x, beta_e, gamma):
     """exo_sir_rhs on unpacked compartments; rates may be floats or arrays of runs."""
+    neg_beta_x = -beta_x
+
     def f(s, ie, ix, r):
         i = ie + ix
         endo = beta_e * s * i
-        return (-beta_x * s - endo, beta_x * s - gamma * ix, endo - gamma * ie, gamma * i)
+        return (neg_beta_x * s - endo, beta_x * s - gamma * ix, endo - gamma * ie, gamma * i)
     return f
 
 
 def rk4_step(f, s, ie, ix, r, dt: float):
     """One classical RK4 step of f(s, i_e, i_x, r) -> (ds, di_x, di_e, dr).
 
-    Elementwise, so the compartments may be Python floats (single runs) or
-    equal-length arrays (a batch of runs); both perform the same float
-    operations per run.
+    The single-run step, on Python floats; _BatchRK4 performs the same float
+    operations per run on a stack of runs. f does not read r, so the stages
+    pass it unchanged.
     """
     half = dt / 2.0
     ds1, dx1, de1, dr1 = f(s, ie, ix, r)
-    ds2, dx2, de2, dr2 = f(s + half * ds1, ie + half * de1, ix + half * dx1, r + half * dr1)
-    ds3, dx3, de3, dr3 = f(s + half * ds2, ie + half * de2, ix + half * dx2, r + half * dr2)
-    ds4, dx4, de4, dr4 = f(s + dt * ds3, ie + dt * de3, ix + dt * dx3, r + dt * dr3)
+    ds2, dx2, de2, dr2 = f(s + half * ds1, ie + half * de1, ix + half * dx1, r)
+    ds3, dx3, de3, dr3 = f(s + half * ds2, ie + half * de2, ix + half * dx2, r)
+    ds4, dx4, de4, dr4 = f(s + dt * ds3, ie + dt * de3, ix + dt * dx3, r)
     sixth = dt / 6.0
     return (s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4),
             ie + sixth * (de1 + 2.0 * de2 + 2.0 * de3 + de4),
             ix + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
             r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))
+
+
+class _BatchRK4:
+    """rk4_step and _check_batch for a batch of runs, stacked as one (4, runs) array.
+
+    y holds the rows (s, i_e, i_x, r) and rates the rows (beta_x, beta_e, gamma).
+    Every stage is written into buffers allocated here, with views made once, so a
+    step costs a fixed number of numpy calls whatever the width; each run performs
+    exactly the float operations of rk4_step and _exo_sir_f, in the same order.
+    Compacting the batch makes a new kernel.
+    """
+
+    def __init__(self, y, rates, dt: float):
+        self.y = y = np.array(y, dtype=float)
+        self.rates = rates
+        self.dt = dt
+        bx, self._be, self._g = rates
+        self._bx_pm = np.stack([bx, -bx])
+        runs = y.shape[1]
+        self._k = k = np.empty((4, runs))  # one stage's derivatives, rows as y
+        self._acc = acc = np.empty((4, runs))  # k1 + 2*k2 + 2*k3 + k4, summed as each ends
+        self._z = z = np.empty((3, runs))  # the next stage's s, i_e, i_x; f never reads r
+        work = np.empty((4, runs))  # endo, beta_x*s, -beta_x*s, i
+        self._work = work[0], work[1:3], work[:2], work[2], work[3]
+        self._total = np.empty(runs)
+        # _f reads the views (s, i_e, i_x, i_e:i_x) and writes (ds, di_e:di_x, dr)
+        self._y_rows = y[0], y[1], y[2], y[3]
+        self._y_in = *self._y_rows[:3], y[1:3]
+        self._z_in = z[0], z[1], z[2], z[1:3]
+        self._k_out = k[0], k[1:3], k[3]
+        self._acc_out = acc[0], acc[1:3], acc[3]
+        self._y3, self._k3, self._acc3 = y[:3], k[:3], acc[:3]
+
+    def _f(self, z, k) -> None:
+        """_exo_sir_f at the stage whose row views are z, into the row views k."""
+        s, ie, ix, ie_ix = z
+        ds, de_dx, dr = k
+        endo, bxs_pm, endo_bxs, neg_bxs, i = self._work
+        g = self._g
+        np.add(ie, ix, i)
+        np.multiply(self._be, s, endo)
+        np.multiply(endo, i, endo)
+        np.multiply(self._bx_pm, s, bxs_pm)
+        np.multiply(ie_ix, g, de_dx)
+        np.subtract(endo_bxs, de_dx, de_dx)  # endo - gamma*i_e, beta_x*s - gamma*i_x
+        np.subtract(neg_bxs, endo, ds)
+        np.multiply(g, i, dr)
+
+    def step(self, tick: int) -> None:
+        """Advance y by one RK4 step, checked and clamped as _check_batch would."""
+        y, k, z, acc, f = self.y, self._k, self._z, self._acc, self._f
+        y3, k3, z_in, k_out = self._y3, self._k3, self._z_in, self._k_out
+        add, multiply = np.add, np.multiply
+        dt = self.dt
+        half = dt / 2.0
+        f(self._y_in, self._acc_out)
+        multiply(self._acc3, half, z)
+        add(y3, z, z)
+        f(z_in, k_out)
+        multiply(k3, half, z)
+        add(y3, z, z)
+        multiply(k, 2.0, k)
+        add(acc, k, acc)
+        f(z_in, k_out)
+        multiply(k3, dt, z)
+        add(y3, z, z)
+        multiply(k, 2.0, k)
+        add(acc, k, acc)
+        f(z_in, k_out)
+        add(acc, k, acc)
+        multiply(acc, dt / 6.0, acc)
+        add(y, acc, y)
+        # Fast check. _check_batch leaves a state alone (no clamp, no error) exactly when
+        # every value lies in [0, 1] and every run's total t, summed in its order, has
+        # |t - 1| <= CONSERVATION_TOL. t - 1 and 1 - t are exact for t in [0.5, 2], so
+        # there this holds for every run exactly when max(t) - 1 and 1 - min(t) are within
+        # the tolerance; a t outside [0.5, 2] fails one of the two. NaN fails every comparison.
+        # Any state not accepted here goes to _check_batch, to be clamped or rejected.
+        s, ie, ix, r = self._y_rows
+        total = self._total
+        add(s, ie, total)
+        add(total, ix, total)
+        add(total, r, total)
+        if not (np.minimum.reduce(y, None) >= 0.0 and np.maximum.reduce(y, None) <= 1.0
+                and np.maximum.reduce(total) - 1.0 <= CONSERVATION_TOL
+                and 1.0 - np.minimum.reduce(total) <= CONSERVATION_TOL):
+            y[...] = _check_batch(y, tick)
 
 
 def integrate(initial: CompartmentState, params: ModelParams,
@@ -227,16 +316,17 @@ def integrate(initial: CompartmentState, params: ModelParams,
     initial.validate()
 
     f = _exo_sir_f(params.beta_x, params.beta_e, params.gamma)
-    S = np.empty(n_steps + 1)
-    IE = np.empty(n_steps + 1)
-    IX = np.empty(n_steps + 1)
-    R = np.empty(n_steps + 1)
+    # allocated up front, so a request too large for memory fails before any step
+    S, IE, IX, R = (np.empty(n_steps + 1) for _ in range(4))
+    views = [memoryview(arr) for arr in (S, IE, IX, R)]
+    vs, vie, vix, vr = views  # item stores on a memoryview skip numpy's scalar path
     s, ie, ix, r = initial.s, initial.i_e, initial.i_x, initial.r
-    S[0], IE[0], IX[0], R[0] = s, ie, ix, r
+    vs[0], vie[0], vix[0], vr[0] = s, ie, ix, r
     for k in range(1, n_steps + 1):
         s, ie, ix, r = _check_step(rk4_step(f, s, ie, ix, r, dt), k)
-        S[k], IE[k], IX[k], R[k] = s, ie, ix, r
-    for arr in (S, IE, IX, R):
+        vs[k], vie[k], vix[k], vr[k] = s, ie, ix, r
+    for view, arr in zip(views, (S, IE, IX, R)):
+        view.release()
         arr.flags.writeable = False
     return Trajectory(dt=dt, s=S, i_e=IE, i_x=IX, r=R)
 

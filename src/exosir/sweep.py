@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
-from .model import (UNDERSHOOT_TOL, _check_batch, _check_step, _exo_sir_f, check_array_size,
+from .model import (UNDERSHOOT_TOL, _BatchRK4, _check_step, _exo_sir_f, check_array_size,
                     check_step_size, rk4_step)
 from .regression import RegressionReport, fit_linear
 
@@ -95,7 +95,10 @@ SETTLE_DT_RATES = 0.4
 SETTLE_STEP_SLACK = 3 * UNDERSHOOT_TOL
 
 # Runs left when the batch hands over to single runs on Python floats: a batch tick
-# costs about 120 us whatever its width, one run's scalar tick about 5.5 us.
+# costs about 70-80 us whatever its width up to a few hundred runs, one run's scalar
+# tick about 3.5-5 us. Priced by the batch ticks and scalar run-ticks each hand-off
+# leaves at --k 15 (seeds 25 and 26), 15 and 20 runs cost the same within 0.1 ms, while
+# 10 costs up to 2.6 ms more and 30 up to 1.9 ms more.
 SCALAR_TAIL_RUNS = 20
 
 
@@ -167,38 +170,37 @@ def _horizon_error(triples: np.ndarray, runs, steps: int) -> HorizonError:
 def _batch(state, triples, eligible, peak, ptick, dt: float, last_tick: int, stop: int):
     """Step every active run as one batch until at most stop runs are left.
 
-    state is (tick, checkpoint, active, s, i_e, i_x, r, run_peak, run_tick): the last
-    tick done, the next checkpoint, the runs still in the batch (ascending) and their
-    columns. Returns the state at the first compaction that leaves at most stop runs;
-    runs that leave the batch store their peak and its tick in peak and ptick.
+    state is (tick, checkpoint, active, y, run_peak, run_tick): the last tick done, the
+    next checkpoint, the runs still in the batch (ascending), their compartments stacked
+    as rows (s, i_e, i_x, r) and their peaks so far. Returns the state at the first
+    compaction that leaves at most stop runs; runs that leave the batch store their peak
+    and its tick in peak and ptick.
     """
-    tick, checkpoint, active, s, ie, ix, r, run_peak, run_tick = state
-    rates = triples[active].T.copy()
-    f = _exo_sir_f(*rates)
+    tick, checkpoint, active, y, run_peak, run_tick = state
+    rk4 = _BatchRK4(y, triples[active].T.copy(), dt)
     while active.size > stop:
         tick += 1
-        s, ie, ix, r = _check_batch(rk4_step(f, s, ie, ix, r, dt), tick)
+        rk4.step(tick)
+        ie = rk4.y[1]
         better = ie > run_peak
-        run_peak = np.where(better, ie, run_peak)
-        run_tick = np.where(better, tick, run_tick)
+        np.copyto(run_peak, ie, where=better)
+        run_tick[better] = tick
         if tick == checkpoint:
             keep = run_tick == checkpoint
             if keep.any() and checkpoint == last_tick:
                 raise _horizon_error(triples, active[keep], checkpoint)
             checkpoint *= 2
         elif tick % SETTLE_EVERY == 0:
-            keep = ~(eligible[active] & _settled(run_peak, s, ie, ix, rates, last_tick))
+            keep = ~(eligible[active] & _settled(run_peak, *rk4.y[:3], rk4.rates, last_tick))
         else:
             continue
         if keep.all():
             continue
         peak[active] = run_peak
         ptick[active] = run_tick
-        active, s, ie, ix, r, run_peak, run_tick = (
-            a[keep] for a in (active, s, ie, ix, r, run_peak, run_tick))
-        rates = rates[:, keep]
-        f = _exo_sir_f(*rates)
-    return tick, checkpoint, active, s, ie, ix, r, run_peak, run_tick
+        active, run_peak, run_tick = (a[keep] for a in (active, run_peak, run_tick))
+        rk4 = _BatchRK4(rk4.y[:, keep], rk4.rates[:, keep], dt)
+    return tick, checkpoint, active, rk4.y, run_peak, run_tick
 
 
 def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: int) -> list:
@@ -209,10 +211,10 @@ def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: in
     peaks and ticks and returns the runs still rising on last_tick; raises the
     first IntegrationError of a run, which need not be the batch's first.
     """
-    start, first_checkpoint, active, *columns = state
+    start, first_checkpoint, active, y, run_peaks, run_ticks = state
     rising = []
-    for run, s, ie, ix, r, run_peak, run_tick in zip(active.tolist(),
-                                                        *(c.tolist() for c in columns)):
+    for run, s, ie, ix, r, run_peak, run_tick in zip(active.tolist(), *y.tolist(),
+                                                        run_peaks.tolist(), run_ticks.tolist()):
         rates = triples[run].tolist()
         f = _exo_sir_f(*rates)
         settles = bool(eligible[run])
@@ -249,11 +251,12 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
     raises HorizonError naming the lowest-index such triple. Dropping a run
     changes neither its peak nor the errors of the batch.
 
-    Once at most SCALAR_TAIL_RUNS runs are left, a batch tick costs more than
-    stepping them one by one, so each is finished on Python floats by the same
-    rk4_step, step checks, peak rule, settle test and checkpoints. If one of
-    them fails, the batch reruns from the hand-off state and raises the
-    batch's own error, with its message and step.
+    The batch steps on model._BatchRK4. Once at most SCALAR_TAIL_RUNS runs are
+    left, a batch tick costs more than stepping them one by one, so each is
+    finished on Python floats by rk4_step, which performs the kernel's float
+    operations, with the same step checks, peak rule, settle test and
+    checkpoints. If one of them fails, the batch reruns from the hand-off
+    state and raises the batch's own error, with its message and step.
     """
     triples = np.asarray(triples, dtype=float)
     if triples.ndim != 2 or triples.shape[1] != 3:
@@ -265,9 +268,8 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
     count = triples.shape[0]
     peak = np.empty(count)
     ptick = np.zeros(count, dtype=np.int64)
-    s, ie, ix, r = (np.full(count, v) for v in SWEEP_INITIAL)
-    state = (0, horizon, np.arange(count), s, ie, ix, r, ie.copy(),
-             np.zeros(count, dtype=np.int64))
+    y = np.repeat(np.array(SWEEP_INITIAL)[:, None], count, axis=1)
+    state = (0, horizon, np.arange(count), y, y[1].copy(), np.zeros(count, dtype=np.int64))
     last_tick = horizon * 2**MAX_DOUBLINGS
     # _check_batch reports non-finite values, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):

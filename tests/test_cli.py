@@ -115,6 +115,26 @@ def test_network_summary_matches_golden_digest(tmp_path, case):
     assert hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest() == digest
 
 
+# sha256 of samples.csv and regression.json for the benchmark's sweep command at
+# seeds 25 and 26, as written before the sweep's batch was stacked into one array and
+# its rate columns were formatted once per distinct value. samples.csv comes from IEEE
+# arithmetic and repr alone; regression.json also from the OLS, so, like GOLDEN_FIT, it
+# assumes numpy's float64 linear algebra rounds as on x86-64.
+GOLDEN_SWEEP = {
+    25: ("57d1324d26590463bfb80a57793cdfbc0b692c82a4874044ed5751cc0cd463ca",
+         "b6ea15f7570c21d7b4e2e09d75c5280d14f98309a2a3e6fc527375b174239fa0"),
+    26: ("4cc350b25b2d4e95f3dab31c8392756e8c9040642de33056d511f247cfbe699b",
+         "dde210ee25141025aaaa4303f7519a7fd541e3eaa3b283b3ee8ae6d1f716f062"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SWEEP))
+def test_sweep_artifacts_match_golden_digests(tmp_path, seed):
+    assert main(["sweep", "--k", "15", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    for name, digest in zip(("samples.csv", "regression.json"), GOLDEN_SWEEP[seed]):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_artifacts_get_the_mode_open_gives(tmp_path):
     old = os.umask(0o022)
     try:

@@ -8,9 +8,10 @@ from scipy.integrate import solve_ivp
 
 from conftest import sir_rk4
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
+from exosir import model
 from exosir.model import (CONSERVATION_TOL, UNDERSHOOT_TOL, CompartmentState, ModelParams,
-                          Trajectory, _check_batch, _check_step, endogenous_boost_check,
-                          exo_sir_rhs, integrate, peak_of)
+                          Trajectory, _BatchRK4, _check_batch, _check_step, _exo_sir_f,
+                          endogenous_boost_check, exo_sir_rhs, integrate, peak_of, rk4_step)
 
 
 def state(s, i_e, i_x, r):
@@ -214,6 +215,138 @@ def test_step_checks_agree_at_the_tolerance_edge():
         outcomes.append(single)
     accepted = [o for o in outcomes if o != "error"]
     assert 0.1 < len(accepted) / len(outcomes) < 0.9
+
+
+# --- the sweep's batch kernel ---
+
+def _simplex_states(rng, count):
+    """(4, count) states on the simplex; about 30% of the compartments are empty and 8%
+    of the states are vertices."""
+    y = rng.dirichlet([0.3] * 4, count)
+    y[rng.random((count, 4)) < 0.3] = 0.0
+    y[y.sum(axis=1) == 0.0, 0] = 1.0
+    return (y / y.sum(axis=1, keepdims=True)).T.copy()
+
+
+def _kernel_outcome(y, rates, dt, tick=3):
+    """One _BatchRK4 step: the new state's bytes, or the IntegrationError's text and step."""
+    kernel = _BatchRK4(y, rates, dt)
+    try:
+        kernel.step(tick)
+    except IntegrationError as err:
+        return str(err), err.step
+    return kernel.y.tobytes()
+
+
+def _reference_outcome(y, rates, dt, tick=3):
+    """rk4_step on each run's Python floats, then _check_batch over the runs."""
+    steps = [rk4_step(_exo_sir_f(*run_rates), *run_y, dt)
+             for run_rates, run_y in zip(rates.T.tolist(), y.T.tolist())]
+    try:
+        checked = _check_batch([np.array(row) for row in zip(*steps)], tick)
+    except IntegrationError as err:
+        return str(err), err.step
+    return np.array(checked).tobytes()
+
+
+def _float_stages(y, rates, dt):
+    """Per stage, the arguments (s, i_e, i_x) and derivatives (ds, di_e, di_x, dr) that
+    rk4_step forms on each run's Python floats, as (3, runs) and (4, runs) arrays."""
+    runs = []
+    for (bx, be, g), (s, ie, ix, r) in zip(rates.T.tolist(), y.T.tolist()):
+        f, z, stages = _exo_sir_f(bx, be, g), (s, ie, ix), []
+        for a in (dt / 2.0, dt / 2.0, dt, None):
+            ds, dx, de, dr = f(*z, r)
+            stages.append((z, (ds, de, dx, dr)))
+            if a is not None:
+                z = (s + a * ds, ie + a * de, ix + a * dx)
+        runs.append(stages)
+    return [tuple(np.array(part).T for part in zip(*stage)) for stage in zip(*runs)]
+
+
+@pytest.mark.parametrize("dt, rate_max", [(0.1, 2.0), (0.5, 1.0), (1.0, 5.0)])
+def test_batch_kernel_matches_rk4_step_bitwise(dt, rate_max):
+    # every stage's argument and derivatives, and the checked result, equal the float
+    # step's bit for bit; zero rates and empty compartments are included, and at the
+    # largest rates and step some runs leave [0, 1] by more than the clamp band
+    rng = np.random.default_rng(31)
+    count = 2000
+    y = _simplex_states(rng, count)
+    rates = rng.uniform(0.0, rate_max, (3, count))
+    rates[rng.random((3, count)) < 0.1] = 0.0
+    kernel = _BatchRK4(y, rates, dt)
+    seen = []
+
+    def record(z, k):  # _f's row views: z (s, i_e, i_x, i_e:i_x), k (ds, di_e:di_x, dr)
+        _BatchRK4._f(kernel, z, k)
+        seen.append((np.array(z[:3]), np.vstack(k)))
+
+    kernel._f = record
+    with np.errstate(all="ignore"):
+        expected = _float_stages(y, rates, dt)
+        if dt < 1.0:
+            kernel.step(1)
+            assert kernel.y.tobytes() == _reference_outcome(y, rates, dt, 1)
+        else:
+            outcome = _reference_outcome(y, rates, dt, 1)
+            assert isinstance(outcome, tuple) and "undershoot" in outcome[0]
+            with pytest.raises(IntegrationError) as err:
+                kernel.step(1)
+            assert (str(err.value), err.value.step) == outcome
+    assert len(seen) == 4
+    for (z, k), (z_ref, k_ref) in zip(seen, expected):
+        assert z.tobytes() == z_ref.tobytes()
+        assert k.tobytes() == k_ref.tobytes()
+
+
+@pytest.mark.parametrize("run", [
+    [-5e-13, 0.5, 0.5, 5e-13], [0.5, -1e-12, 0.5, 1e-12],  # within the band: clamped
+    [1.0 + 5e-13, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0 + 1e-12],
+    [-2e-12, 0.5, 0.5, 2e-12], [0.0, 0.0, 1.0 + 2e-12, 0.0],  # undershoot, overshoot
+    [0.25, np.nan, 0.25, 0.5], [np.inf, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, -np.inf],
+    [0.25, 0.25, 0.25, 0.25 + 2e-9], [0.25 - 2e-9, 0.25, 0.25, 0.25],  # drift
+    [1.0 + 5e-13, 0.0, 0.0, CONSERVATION_TOL],  # drift only once s is clamped
+])
+def test_batch_kernel_check_matches_check_batch(run):
+    # with zero rates the RK4 step changes no value, so the state itself meets the check;
+    # one run of a batch carries the edge case and the kernel must clamp, accept or raise
+    # (text and step) exactly as _check_batch does
+    rng = np.random.default_rng(32)
+    y = _simplex_states(rng, 50)
+    y[:, 7] = run
+    rates = np.zeros((3, 50))
+    with np.errstate(all="ignore"):
+        assert _kernel_outcome(y, rates, 0.1) == _reference_outcome(y, rates, 0.1)
+
+
+def test_batch_kernel_fast_check_accepts_only_what_check_batch_leaves(monkeypatch):
+    # the kernel hands a step to _check_batch only when its test on the whole stack fails;
+    # every state it accepts alone must be one _check_batch neither clamps nor rejects.
+    # States straddle the clamp band and the conservation tolerance, one run at a time
+    handed = []
+    monkeypatch.setattr(model, "_check_batch",
+                        lambda values, step: handed.append(1) or _check_batch(values, step))
+    rng = np.random.default_rng(33)
+    shifts = np.array([0.0, 0.5, -0.5, 1.5, -1.5]) * UNDERSHOOT_TOL
+    accepted = 0
+    for _ in range(3000):
+        values = _simplex_states(rng, 1)[:, 0]
+        values += rng.choice(shifts, 4)
+        values[rng.integers(4)] += rng.choice([-1.0, 1.0]) * (
+            CONSERVATION_TOL + rng.uniform(-3.0, 3.0) * UNDERSHOOT_TOL)
+        y, rates = values[:, None], np.zeros((3, 1))
+        calls = len(handed)
+        outcome = _kernel_outcome(y, rates, 0.1)
+        assert outcome == _reference_outcome(y, rates, 0.1)
+        if len(handed) == calls:
+            accepted += 1
+            assert outcome == y.tobytes()  # so _check_batch, too, left every value as it was
+    assert 0.1 < accepted / 3000 < 0.9
+    # on plain simplex states the fast test decides alone
+    handed.clear()
+    rng_state = _simplex_states(rng, 500)
+    _kernel_outcome(rng_state, rng.uniform(0.0, 1.0, (3, 500)), 0.1)
+    assert not handed
 
 
 def test_trajectory_arrays_immutable():

@@ -319,9 +319,13 @@ def test_run_sweep_error_is_the_batch_first():
 ], ids=["k15-seed25", "k15-seed26", "k30-seed25", "k12-dt0.5"])
 def test_run_sweep_matches_pinned_digest(k, seed, dt, digest):
     # peaks and ticks come from IEEE add, multiply and divide only, so they are pinned
-    # bit for bit, as the batch alone computes them (SCALAR_TAIL_RUNS = 0)
-    peak, tick = run_sweep(sample_grid(k, seed), dt)
-    assert hashlib.sha256(peak.tobytes() + tick.tobytes()).hexdigest() == digest
+    # bit for bit. The batch kernel alone (SCALAR_TAIL_RUNS = 0) and the default hand-off
+    # must meet every digest, and single runs alone (10**6) the k = 15 ones
+    triples = sample_grid(k, seed)
+    for runs in TAIL_RUNS if k == 15 else TAIL_RUNS[:2]:
+        with _tail_runs(runs):
+            peak, tick = run_sweep(triples, dt)
+        assert hashlib.sha256(peak.tobytes() + tick.tobytes()).hexdigest() == digest, runs
 
 
 def test_run_sweep_rejects_bad_input():
