@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 OUT_DIR_ENV = "EXOSIR_OUT_DIR"
 
@@ -17,17 +16,18 @@ def resolve_out_dir(flag_value: str | None) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+    """Write via a sibling temp file and rename, so readers never see partials.
+
+    The temp file is created with mode 0o666, which the kernel reduces by the
+    umask, so it gets the mode open() gives a new file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would. The
-        # umask can only be read by setting it.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

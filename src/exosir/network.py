@@ -60,29 +60,11 @@ class ContactGraph:
     owner: np.ndarray
     neighbor: np.ndarray
 
-    @property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per-node sorted neighbor lists."""
-        order = np.lexsort((self.neighbor, self.owner))
-        flat = self.neighbor[order].tolist()
-        ends = np.cumsum(np.bincount(self.owner, minlength=self.n)).tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
-
-    def edge_count(self) -> int:
-        return self.owner.size // 2
-
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean n x n adjacency; a reference only, O(n^2) memory."""
         adj = np.zeros((self.n, self.n), dtype=bool)
         adj[self.owner, self.neighbor] = True
         return adj
-
-    def any_neighbor(self, mask: np.ndarray) -> np.ndarray:
-        """True at each node with at least one neighbor set in the boolean mask.
-
-        Equal to adjacency_matrix() @ mask, in O(edges) time and memory.
-        """
-        return _any_neighbor(self.owner, self.neighbor, mask)
 
 
 @dataclass(frozen=True)
@@ -371,10 +353,7 @@ def generate_ba_graph(n: int, m: int, seed) -> ContactGraph:
     """
     (owner,), (neighbor,) = _grow_ba_edges(n, m, [np.random.default_rng(seed)])
     owner.flags.writeable = neighbor.flags.writeable = False
-    graph = ContactGraph(n, owner, neighbor)
-    expected_edges = m * (m + 1) // 2 + (n - m - 1) * m
-    assert graph.edge_count() == expected_edges
-    return graph
+    return ContactGraph(n, owner, neighbor)
 
 
 def _tick(statuses: np.ndarray, owner: np.ndarray, neighbor: np.ndarray, u: np.ndarray,

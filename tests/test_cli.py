@@ -145,6 +145,24 @@ def test_artifacts_get_the_mode_open_gives(tmp_path):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
 
 
+def test_artifacts_are_written_without_touching_the_umask(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it, even briefly, would unmask files that other
+    # threads create meanwhile, so a write must leave it alone and let the kernel apply it
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o022)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", umask)
+            assert main(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["peaks.json", "trajectory.csv"]
+    for name in ("trajectory.csv", "peaks.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+
+
 def test_usage_errors_exit_1(tmp_path):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

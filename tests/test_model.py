@@ -12,6 +12,7 @@ from exosir import model
 from exosir.model import (CONSERVATION_TOL, UNDERSHOOT_TOL, CompartmentState, ModelParams,
                           Trajectory, _BatchRK4, _check_batch, _check_step, _exo_sir_f,
                           endogenous_boost_check, exo_sir_rhs, integrate, peak_of, rk4_step)
+from exosir.sweep import SWEEP_INITIAL
 
 
 def state(s, i_e, i_x, r):
@@ -347,6 +348,48 @@ def test_batch_kernel_fast_check_accepts_only_what_check_batch_leaves(monkeypatc
     rng_state = _simplex_states(rng, 500)
     _kernel_outcome(rng_state, rng.uniform(0.0, 1.0, (3, 500)), 0.1)
     assert not handed
+
+
+# --- the first integral as an accuracy oracle ---
+
+def _integral_drift(s, r, rates, dt):
+    """Largest change of ln s + beta_x t + (beta_e/gamma) r along one run."""
+    beta_x, beta_e, gamma = rates
+    h = np.log(s) + beta_x * dt * np.arange(s.size) + beta_e / gamma * r
+    return np.abs(h - h[0]).max()
+
+
+def test_first_integral_drift_is_fourth_order():
+    # Along an exact solution with gamma > 0, d(ln s)/dt = -beta_x - beta_e i and
+    # dr/dt = gamma i, so ln s + beta_x t + (beta_e/gamma) r stays constant. RK4 keeps
+    # the linear invariant s + i_e + i_x + r up to rounding at any dt but not this one,
+    # so the invariant's drift is truncation error, O(dt^4) for a fourth-order method:
+    # each halving of dt must shrink it by 2^4, and a factor in [2^3.8, 2^4.2] is asked
+    # for along integrate and the sweep's batch kernel over 200 days from the sweep's
+    # start. The smallest drift, 1.3e-9 at dt 0.05, is some 10^3 times the rounding that
+    # 4000 steps can add (4000 * 2^-52 relative in s), so the factors see truncation alone
+    triples = ((0.3, 0.5, 0.2), (0.001, 0.6, 0.1), (0.05, 0.9, 0.3))
+    dts = (0.4, 0.2, 0.1, 0.05)
+    scalar, batch = [], []
+    for dt in dts:
+        n_steps = round(200 / dt)
+        runs = [integrate(state(*SWEEP_INITIAL), ModelParams(*rates), dt, n_steps)
+                for rates in triples]
+        scalar.append([_integral_drift(traj.s, traj.r, rates, dt)
+                       for traj, rates in zip(runs, triples)])
+        kernel = _BatchRK4(np.repeat(np.array(SWEEP_INITIAL)[:, None], len(triples), axis=1),
+                           np.array(triples).T, dt)
+        s, r = [kernel.y[0].copy()], [kernel.y[3].copy()]
+        for tick in range(1, n_steps + 1):
+            kernel.step(tick)
+            s.append(kernel.y[0].copy())
+            r.append(kernel.y[3].copy())
+        s, r = np.array(s).T, np.array(r).T
+        batch.append([_integral_drift(run_s, run_r, rates, dt)
+                      for run_s, run_r, rates in zip(s, r, triples)])
+    for drifts in (scalar, batch):
+        factors = np.log2(np.array(drifts[:-1]) / np.array(drifts[1:]))
+        assert ((3.8 <= factors) & (factors <= 4.2)).all(), factors
 
 
 def test_trajectory_arrays_immutable():

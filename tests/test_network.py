@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from exosir import network
 from exosir.errors import ParameterError
@@ -19,16 +20,16 @@ S, IE, IX, R = (NodeStatus.SUSCEPTIBLE, NodeStatus.INFECTED_ENDO,
 
 def test_ba_two_nodes_single_edge():
     graph = generate_ba_graph(2, 1, seed=0)
-    assert graph.edge_count() == 1
-    assert graph.neighbors == ((1,), (0,))
+    assert graph.owner.size // 2 == 1
+    assert graph.owner.tolist() == [0, 1] and graph.neighbor.tolist() == [1, 0]
     assert not graph.owner.flags.writeable and not graph.neighbor.flags.writeable
 
 
 def test_ba_edge_count_formula():
-    assert generate_ba_graph(150, 1, seed=1).edge_count() == 149
-    assert generate_ba_graph(10, 3, seed=1).edge_count() == 3 * 4 // 2 + 6 * 3
+    assert generate_ba_graph(150, 1, seed=1).owner.size // 2 == 149
+    assert generate_ba_graph(10, 3, seed=1).owner.size // 2 == 3 * 4 // 2 + 6 * 3
     graph = generate_ba_graph(150, 1, seed=2)
-    mean_degree = 2 * graph.edge_count() / graph.n
+    mean_degree = 2 * (graph.owner.size // 2) / graph.n
     assert mean_degree == pytest.approx(2.0, abs=0.02)
 
 
@@ -41,39 +42,41 @@ def test_ba_rejects_bad_sizes():
 
 def test_ba_graph_is_simple_symmetric_connected():
     graph = generate_ba_graph(80, 2, seed=3)
-    seen = {0}
-    stack = [0]
-    for node, nbrs in enumerate(graph.neighbors):
-        assert node not in nbrs
-        assert len(set(nbrs)) == len(nbrs)
-        for other in nbrs:
-            assert node in graph.neighbors[other]
-    while stack:
-        for other in graph.neighbors[stack.pop()]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
+    pairs = list(zip(graph.owner.tolist(), graph.neighbor.tolist()))
+    assert all(a != b for a, b in pairs)
+    assert len(set(pairs)) == len(pairs)
+    assert {(b, a) for a, b in pairs} == set(pairs)
+    seen = frontier = {0}
+    while frontier:
+        frontier = {b for a, b in pairs if a in frontier} - seen
+        seen = seen | frontier
     assert len(seen) == graph.n
 
 
-def _reference_neighbors(n, m, rng):
-    """Neighbor lists grown with rng.choice, the sampler the generator must match."""
-    neighbors = [set() for _ in range(n)]
-    degrees = np.zeros(n, dtype=np.int64)
-    for a in range(m + 1):
-        for b in range(a + 1, m + 1):
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-            degrees[a] += 1
-            degrees[b] += 1
+def _reference_edges(n, m, rng):
+    """(owner, neighbor) grown with rng.choice, the sampler the generator must match,
+    in the generator's layout: the (m+1)-clique's edges (a ascending, then b != a
+    ascending), then (new, pick) in draw order, then the same pairs reversed."""
+    clique = [(a, b) for a in range(m + 1) for b in range(m + 1) if b != a]
+    degrees = np.bincount([a for a, _ in clique], minlength=n)
+    arrivals = []
     for new in range(m + 1, n):
         weights = degrees[:new] / degrees[:new].sum()
         for t in rng.choice(new, size=m, replace=False, p=weights):
-            neighbors[new].add(int(t))
-            neighbors[int(t)].add(new)
+            arrivals.append((new, int(t)))
             degrees[new] += 1
             degrees[t] += 1
-    return tuple(tuple(sorted(nb)) for nb in neighbors)
+    pairs = clique + arrivals + [(b, a) for a, b in arrivals]
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+
+
+def _same_edges(graph, edges):
+    return np.array_equal(graph.owner, edges[0]) and np.array_equal(graph.neighbor, edges[1])
+
+
+def _neighbor_lists(graph):
+    """Per-node neighbor lists, read off the dense reference adjacency."""
+    return [np.flatnonzero(row).tolist() for row in graph.adjacency_matrix()]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -83,7 +86,7 @@ def test_ba_sampler_matches_numpy_choice(m):
     for seed in range(600):
         n = m + 2 + seed % 17
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert generate_ba_graph(n, m, ours).neighbors == _reference_neighbors(n, m, reference)
+        assert _same_edges(generate_ba_graph(n, m, ours), _reference_edges(n, m, reference))
         assert ours.bit_generator.state == reference.bit_generator.state
 
 
@@ -91,7 +94,7 @@ def test_ba_sampler_matches_numpy_choice_at_large_n():
     # at a few hundred nodes the certified pick decides almost every node
     for seed, n in enumerate((300, 380, 460, 500)):
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert generate_ba_graph(n, 2, ours).neighbors == _reference_neighbors(n, 2, reference)
+        assert _same_edges(generate_ba_graph(n, 2, ours), _reference_edges(n, 2, reference))
         assert ours.bit_generator.state == reference.bit_generator.state
 
 
@@ -106,7 +109,7 @@ def test_ba_exact_path_matches_numpy_choice(monkeypatch, m):
     for seed in range(40):
         n = m + 2 + seed * 3
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert generate_ba_graph(n, m, ours).neighbors == _reference_neighbors(n, m, reference)
+        assert _same_edges(generate_ba_graph(n, m, ours), _reference_edges(n, m, reference))
         assert ours.bit_generator.state == reference.bit_generator.state
         assert len(rounds) == n - m - 1
         rounds.clear()
@@ -237,7 +240,7 @@ def test_any_neighbor_matches_dense_adjacency():
         adj = graph.adjacency_matrix()
         for _ in range(50):
             infected = rng.random(graph.n) < rng.random()
-            flags = graph.any_neighbor(infected)
+            flags = network._any_neighbor(graph.owner, graph.neighbor, infected)
             assert flags.dtype == bool
             np.testing.assert_array_equal(flags, adj @ infected)
 
@@ -416,7 +419,7 @@ def _reference_experiment(base_seed, reps, n, m, max_ticks, axes):
         peaks = []
         for rep in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence([base_seed, ci, rep]))
-            neighbors = _reference_neighbors(n, m, rng)
+            neighbors = _neighbor_lists(ContactGraph(n, *_reference_edges(n, m, rng)))
             endo, exo = _reference_run(neighbors, ModelParams(bx, be, g), rng, max_ticks)
             peaks.append((endo.max(), endo.argmax(), exo.max(), exo.argmax()))
         rows.append((bx, be, g, *(float(v) for v in np.mean(peaks, axis=0)), reps))
@@ -464,7 +467,7 @@ def test_run_simulation_draws_exactly_three_uniforms_per_node_per_tick(m):
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         outcome = run_simulation(graph, params, ours, max_ticks=max_ticks,
                                  initial_statuses=start)
-        endo, exo = _reference_run(graph.neighbors, params, reference, max_ticks,
+        endo, exo = _reference_run(_neighbor_lists(graph), params, reference, max_ticks,
                                    None if start is None else start.copy())
         np.testing.assert_array_equal(outcome.endo_series, endo)
         np.testing.assert_array_equal(outcome.exo_series, exo)
@@ -481,6 +484,59 @@ def test_step_matches_reference_step():
         params = ModelParams(beta_x=0.1, beta_e=beta_e, gamma=0.4)
         got = step(graph, statuses, params, ours)
         np.testing.assert_array_equal(
-            got, _reference_step(graph.neighbors, statuses, params, reference))
+            got, _reference_step(_neighbor_lists(graph), statuses, params, reference))
         assert ours.bit_generator.state == reference.bit_generator.state
         statuses = np.where(got == R, S, got).astype(np.int8)
+
+
+# --- law-based oracles: any correct draw layout passes these ---
+
+def test_exogenous_channel_alone_follows_the_two_step_chain():
+    # With beta_e = 0 every node is an independent chain: S turns IX with probability
+    # beta_x per tick, and IX turns R with probability gamma, never in the tick of its
+    # infection. So P(IX at t) = p_t = sum_(j=1..t) (1-beta_x)^(j-1) beta_x (1-gamma)^(t-j),
+    # and while no run stops, exo_series[t] summed over the runs is Binomial(runs n, p_t).
+    # The mean over runs must lie within z sqrt(n p_t (1-p_t) / runs) of n p_t, with
+    # z = 5.52 = norm.isf(1e-6 / 60): two-sided, Bonferroni over 30 ticks, family alpha
+    # 1e-6. The stop rule ends a run at a tick with no infected node, at tick t with
+    # probability (1-p_t)^n; sum_t (1-p_t)^n = 1.4e-7 bounds a run's chance of stopping,
+    # which moves a mean by about n * 1.4e-7 = 2e-5, against a tolerance of at least 1.0.
+    n, runs, ticks = 150, 400, 30
+    beta_x = gamma = 0.1
+    graph = generate_ba_graph(n, 1, seed=0)
+    params = ModelParams(beta_x=beta_x, beta_e=0.0, gamma=gamma)
+    outcomes = [run_simulation(graph, params, np.random.default_rng(seed), max_ticks=ticks)
+                for seed in range(runs)]
+    assert all(not outcome.endo_series.any() for outcome in outcomes)
+    assert all(outcome.exo_series.size == ticks + 1 for outcome in outcomes)
+    p = np.array([sum((1 - beta_x) ** (j - 1) * beta_x * (1 - gamma) ** (t - j)
+                      for j in range(1, t + 1)) for t in range(1, ticks + 1)])
+    mean = np.mean([outcome.exo_series[1:] for outcome in outcomes], axis=0)
+    z = np.abs(mean - n * p) / np.sqrt(n * p * (1 - p) / runs)
+    assert z.max() < 5.52, z
+
+
+def test_one_tick_on_a_star_follows_the_hub_probabilities():
+    # A susceptible hub with k infected leaves, k = 0..4, is next IX with probability
+    # beta_x, IE with (1-beta_x) p(k) and S otherwise. Today p(k) = 1-(1-beta_e)^min(k, 1):
+    # the step counts any number of infected neighbours as one. Per k, 2000 steps on one
+    # fixed generator; Pearson's chi-square over the outcomes of positive probability
+    # must stay below chi2.isf(alpha / 5, df), Bonferroni over the five k for a family
+    # alpha of 1e-6, and an outcome of probability 0 must not occur at all
+    beta_x, beta_e, leaves, trials, alpha = 0.2, 0.3, 4, 2000, 1e-6
+    hub_edges = np.zeros(leaves, dtype=np.intp), np.arange(1, leaves + 1)
+    graph = ContactGraph(leaves + 1, np.concatenate(hub_edges), np.concatenate(hub_edges[::-1]))
+    params = ModelParams(beta_x=beta_x, beta_e=beta_e, gamma=0.5)
+    for k in range(leaves + 1):
+        statuses = np.full(leaves + 1, S, dtype=np.int8)
+        statuses[1:k + 1] = [IE, IX, IE, IX][:k]
+        rng = np.random.default_rng(k)
+        hub = np.array([step(graph, statuses, params, rng)[0] for _ in range(trials)])
+        p_endo = 1 - (1 - beta_e) ** min(k, 1)
+        expected = trials * np.array([beta_x, (1 - beta_x) * p_endo, (1 - beta_x) * (1 - p_endo)])
+        observed = np.array([(hub == status).sum() for status in (IX, IE, S)])
+        assert observed.sum() == trials
+        possible = expected > 0
+        assert not observed[~possible].any(), (k, observed)
+        chi_square = ((observed - expected)[possible] ** 2 / expected[possible]).sum()
+        assert chi_square < stats.chi2.isf(alpha / 5, possible.sum() - 1), (k, observed)
