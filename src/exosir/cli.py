@@ -47,11 +47,6 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _peak_dict(stats) -> dict:
-    return {"peak_value": stats.peak_value, "peak_tick": stats.peak_tick,
-            "peak_time": stats.peak_time}
-
-
 def _initial_state(s: float, i_e: float, i_x: float, r: float) -> CompartmentState:
     """The initial state the flags describe; an invalid one is a usage error."""
     state = CompartmentState(s=s, i_e=i_e, i_x=i_x, r=r)
@@ -75,12 +70,12 @@ def cmd_simulate(args) -> int:
         _write(os.path.join(out, "trajectory.csv"),
                csv_columns_text(("t", "s", "i_e", "i_x", "r"),
                                 (traj.times, traj.s, traj.i_e, traj.i_x, traj.r)))
-        peaks = {name: _peak_dict(peak_of(traj, name)) for name in ("i_e", "i_x", "i")}
+        peaks = {name: dataclasses.asdict(peak_of(traj, name)) for name in ("i_e", "i_x", "i")}
     else:
         _write(os.path.join(out, "trajectory.csv"),
                csv_columns_text(("t", "s", "i", "r"), (traj.times, traj.s, traj.i_e, traj.r)))
         # i_e, not i: i_e + i_x would turn an initial -0.0 into 0.0
-        peaks = {"i": _peak_dict(peak_of(traj, "i_e"))}
+        peaks = {"i": dataclasses.asdict(peak_of(traj, "i_e"))}
     _write(os.path.join(out, "peaks.json"), json_text(peaks))
     return 0
 
@@ -147,7 +142,7 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"state {state!r} missing from population config {args.pop_config}")
     records, raw_report = _parse_file(args.raw, parse_raw_cases)
     _note(raw_report, "raw cases")
-    daily, daily_report = _parse_file(args.daily, parse_states_daily, (state,))
+    daily, daily_report = _parse_file(args.daily, parse_states_daily, state)
     _note(daily_report, "daily series")
     events = {}
     if args.events:
@@ -174,8 +169,7 @@ def cmd_fit(args) -> int:
     with_traj, without_traj, comparison = counterfactual_runs(fitted, args.horizon)
     _write(os.path.join(out, "comparison.json"), json_text({
         "state": state,
-        "fitted": {"beta_x": fitted.params.beta_x, "beta_e": fitted.params.beta_e,
-                   "gamma": fitted.params.gamma},
+        "fitted": dataclasses.asdict(fitted.params),
         "with_ix": {"peak_value": comparison.with_ix.peak_value,
                     "peak_tick": comparison.with_ix.peak_tick},
         "without_ix": {"peak_value": comparison.without_ix.peak_value,

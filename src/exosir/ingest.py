@@ -91,16 +91,6 @@ def parse_date(text: str) -> dt.date:
     raise ValueError(f"unparseable date {text!r}")
 
 
-def _date_memo():
-    """parse_date that reads each distinct text once, for the rows of one file.
-
-    Dates repeat within a file (one raw-case row per patient, three daily rows
-    per date). An unparseable text is not cached, so every row that carries it
-    is rejected with its own row number.
-    """
-    return functools.lru_cache(maxsize=None)(parse_date)
-
-
 def _fieldnames(reader: csv.DictReader, where: str):
     """The header row; one the csv module cannot read is a schema error."""
     try:
@@ -154,7 +144,9 @@ def parse_raw_cases(stream) -> tuple[list[RawCaseRecord], IngestReport]:
                        ("DateAnnounced", "DetectedState", "TypeOfTransmission"), "raw cases")
     report = IngestReport()
     records = []
-    parse = _date_memo()
+    # raw-case dates repeat, one row per patient, so each distinct text is read once;
+    # an unparseable one is not cached, and every row that carries it is rejected
+    parse = functools.lru_cache(maxsize=None)(parse_date)
     for row_number, row in _numbered_rows(reader, "raw cases"):
         raw_date = (row.get(cols["DateAnnounced"]) or "").strip()
         state = (row.get(cols["DetectedState"]) or "").strip()
@@ -173,53 +165,47 @@ def parse_raw_cases(stream) -> tuple[list[RawCaseRecord], IngestReport]:
     return records, report
 
 
-def parse_states_daily(stream, state_codes
-                       ) -> tuple[dict[str, dict[dt.date, dict[str, int]]], IngestReport]:
-    """Pivot (date, status) rows into per-state daily series.
+def parse_states_daily(stream, state: str
+                       ) -> tuple[dict[dt.date, dict[str, int]], IngestReport]:
+    """One state's column of the (date, status) pivot, as {date: {status: count}}.
 
-    Returns {state_code: {date: {confirmed, recovered, deceased}}}. Statuses
-    missing on a present date zero-fill with a warning; unknown statuses and
-    malformed rows go to the rejects report; a repeated (date, status) pair
-    raises DuplicateDateError.
+    Statuses missing on a present date zero-fill with a warning; unknown
+    statuses and malformed rows go to the rejects report; a repeated
+    (date, status) pair raises DuplicateDateError. Other states' columns are
+    extra columns, and are ignored.
     """
-    state_codes = tuple(code.lower() for code in state_codes)
+    state = state.lower()
     reader = csv.DictReader(stream)
-    cols = _header_map(_fieldnames(reader, "states daily"), ("date", "status") + state_codes,
+    cols = _header_map(_fieldnames(reader, "states daily"), ("date", "status", state),
                        "states daily")
     report = IngestReport()
-    seen: set[tuple[dt.date, str]] = set()
-    table: dict[str, dict[dt.date, dict[str, int]]] = {code: {} for code in state_codes}
-    parse = _date_memo()
+    table: dict[dt.date, dict[str, int]] = {}
     for row_number, row in _numbered_rows(reader, "states daily"):
         status = (row.get(cols["status"]) or "").strip().lower()
         try:
-            date = parse(row.get(cols["date"]) or "")
+            date = parse_date(row.get(cols["date"]) or "")
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue
         if status not in STATUSES:
             report.reject(row_number, f"unknown status {status!r}")
             continue
-        if (date, status) in seen:
+        if status in table.get(date, ()):
             raise DuplicateDateError(f"duplicate rows for date {date}, status {status!r}")
         try:
-            counts = {code: int((row.get(cols[code]) or "0").strip() or "0")
-                      for code in state_codes}
+            count = int((row.get(cols[state]) or "0").strip() or "0")
         except ValueError as exc:
             report.reject(row_number, f"bad count: {exc}")
             continue
-        if any(v < 0 for v in counts.values()):
+        if count < 0:
             report.reject(row_number, "negative count")
             continue
-        seen.add((date, status))
-        for code in state_codes:
-            table[code].setdefault(date, {})[status] = counts[code]
-    for code in state_codes:
-        for date, statuses in sorted(table[code].items()):
-            for status in STATUSES:
-                if status not in statuses:
-                    report.warn(f"{code}: {date} missing status {status!r}, filled with 0")
-                    statuses[status] = 0
+        table.setdefault(date, {})[status] = count
+    for date, statuses in sorted(table.items()):
+        for status in STATUSES:
+            if status not in statuses:
+                report.warn(f"{state}: {date} missing status {status!r}, filled with 0")
+                statuses[status] = 0
     return table, report
 
 
@@ -249,11 +235,10 @@ def _date_span(first: dt.date, last: dt.date) -> list[dt.date]:
     return [first + dt.timedelta(days=d) for d in range((last - first).days + 1)]
 
 
-def build_observed(raw_records: list[RawCaseRecord],
-                   states_daily: dict[str, dict[dt.date, dict[str, int]]],
+def build_observed(raw_records: list[RawCaseRecord], daily: dict[dt.date, dict[str, int]],
                    events: dict[dt.date, int], state: str, population_n: int
                    ) -> tuple[ObservedSeries, IngestReport]:
-    """Assemble the aligned ObservedSeries for one state code.
+    """Assemble the aligned ObservedSeries for one state code from its daily table.
 
     daily_imported counts the raw-case records of that state with type
     Imported per day; the date axis is the union range of all three sources,
@@ -263,8 +248,6 @@ def build_observed(raw_records: list[RawCaseRecord],
     state = state.lower()
     if population_n <= 0:
         raise ConfigError(f"population_n must be positive, got {population_n!r}")
-    if state not in states_daily:
-        raise SchemaError(f"state {state!r} not present in the daily series input")
     report = IngestReport()
     state_name = STATE_NAMES.get(state, state).lower()
     imported: dict[dt.date, int] = {}
@@ -275,7 +258,6 @@ def build_observed(raw_records: list[RawCaseRecord],
         if record.type_of_transmission != "Imported":
             continue
         imported[record.date_announced] = imported.get(record.date_announced, 0) + 1
-    daily = states_daily[state]
     all_dates = set(daily) | set(imported) | set(events)
     if not all_dates:
         raise SchemaError(f"no data rows for state {state!r}")

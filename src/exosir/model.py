@@ -59,10 +59,6 @@ class CompartmentState:
         if abs(total - 1.0) > CONSERVATION_TOL:
             raise InvalidStateError(f"compartments sum to {total!r}, expected 1")
 
-    @property
-    def i(self) -> float:
-        return self.i_e + self.i_x
-
 
 @dataclass(frozen=True)
 class PeakStats:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,15 +23,10 @@ class RegressionReport:
     n: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "coefficients": dict(self.coefficients),
-            "std_errors": dict(self.std_errors),
-            "t_stats": dict(self.t_stats),
-            "p_values": dict(self.p_values),
-            "ci_95": {k: list(v) for k, v in self.ci_95.items()},
-            "adj_r_squared": self.adj_r_squared,
-            "n": self.n,
-        }
+        """Every field but names, which the coefficients' keys already give in order."""
+        data = asdict(self)
+        del data["names"]
+        return data
 
 
 def t_sf_two_sided(t: np.ndarray, df: int) -> np.ndarray:

@@ -312,8 +312,6 @@ def fit_ols(triples: np.ndarray, log_peak_scaled: np.ndarray) -> RegressionRepor
     if triples.ndim != 2 or triples.shape[1] != 3 or y.shape != triples.shape[:1]:
         raise ParameterError(f"need (n, 3) triples and n scaled peaks, got "
                              f"{triples.shape} and {y.shape}")
-    if len(y) < 5:
-        raise ParameterError(f"need at least 5 samples, got {len(y)}")
     if not np.isfinite(y).all():
         raise ParameterError("scaled peaks must be finite (see scale_log_peaks)")
     return fit_linear(y, {"beta_e": triples[:, 1], "beta_x": triples[:, 0],

@@ -139,10 +139,16 @@ def test_artifacts_get_the_mode_open_gives(tmp_path):
     old = os.umask(0o022)
     try:
         assert main(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 0
+        for name in ("trajectory.csv", "peaks.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+        # open(path, "w") keeps an existing file's mode and gives a new file the umask's
+        (tmp_path / "trajectory.csv").chmod(0o600)
+        (tmp_path / "peaks.json").unlink()
+        assert main(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 0
     finally:
         os.umask(old)
-    for name in ("trajectory.csv", "peaks.json"):
-        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+    assert stat.S_IMODE((tmp_path / "trajectory.csv").stat().st_mode) == 0o600
+    assert stat.S_IMODE((tmp_path / "peaks.json").stat().st_mode) == 0o644
 
 
 def test_artifacts_are_written_without_touching_the_umask(tmp_path, monkeypatch):

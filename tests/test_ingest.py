@@ -73,9 +73,9 @@ def test_repeated_bad_date_rejects_every_row():
              "2020-02-30,Confirmed,1\n"
              "2020-02-30,Recovered,1\n"
              "2020-02-01,Confirmed,2\n")
-    table, report = parse_states_daily(io.StringIO(daily), ["kl"])
+    table, report = parse_states_daily(io.StringIO(daily), "kl")
     assert [row for row, _ in report.rejects] == [2, 3]
-    assert list(table["kl"]) == [dt.date(2020, 2, 1)]
+    assert list(table) == [dt.date(2020, 2, 1)]
 
 
 def test_parse_raw_cases_missing_column():
@@ -95,13 +95,18 @@ def test_parse_states_daily_pivot():
         "2020-03-02,Hospitalized,9,9\n"
         "2020-03-02,Recovered,x,1\n"
     )
-    table, report = parse_states_daily(io.StringIO(text), ("kl", "rj"))
     d1, d2 = dt.date(2020, 3, 1), dt.date(2020, 3, 2)
-    assert table["kl"][d1] == {"confirmed": 5, "recovered": 1, "deceased": 0}
-    assert table["rj"][d2] == {"confirmed": 3, "recovered": 0, "deceased": 0}
+    table, report = parse_states_daily(io.StringIO(text), "kl")
+    assert table[d1] == {"confirmed": 5, "recovered": 1, "deceased": 0}
     # one unknown status, one unparseable count
     assert len(report.rejects) == 2
-    # d2 zero-fills recovered and deceased for both states
+    # d2 zero-fills recovered and deceased
+    assert any("missing status" in w for w in report.warnings)
+    # kl's column is an extra column here, so its bad cell leaves rj's reading alone
+    table, report = parse_states_daily(io.StringIO(text), "rj")
+    assert table[d2] == {"confirmed": 3, "recovered": 1, "deceased": 0}
+    assert len(report.rejects) == 1
+    # d2 zero-fills deceased
     assert any("missing status" in w for w in report.warnings)
 
 
@@ -112,7 +117,7 @@ def test_parse_states_daily_duplicate_raises():
         "2020-03-01,Confirmed,6\n"
     )
     with pytest.raises(DuplicateDateError):
-        parse_states_daily(io.StringIO(text), ("kl",))
+        parse_states_daily(io.StringIO(text), "kl")
 
 
 def test_parse_states_daily_rejected_row_leaves_pair_free():
@@ -125,15 +130,15 @@ def test_parse_states_daily_rejected_row_leaves_pair_free():
         "2020-03-01,Recovered,-1\n"
         "2020-03-01,Recovered,2\n"
     )
-    table, report = parse_states_daily(io.StringIO(text), ("kl",))
-    assert table["kl"][dt.date(2020, 3, 1)] == {"confirmed": 5, "recovered": 2, "deceased": 0}
+    table, report = parse_states_daily(io.StringIO(text), "kl")
+    assert table[dt.date(2020, 3, 1)] == {"confirmed": 5, "recovered": 2, "deceased": 0}
     assert [row for row, _ in report.rejects] == [2, 4]
 
 
 def test_parse_states_daily_negative_rejected():
     text = "date,status,kl\n2020-03-01,Confirmed,-4\n"
-    table, report = parse_states_daily(io.StringIO(text), ("kl",))
-    assert table["kl"] == {}
+    table, report = parse_states_daily(io.StringIO(text), "kl")
+    assert table == {}
     assert report.rejects == [(2, "negative count")]
 
 
@@ -162,8 +167,7 @@ def _daily(dates, confirmed):
 
 def test_merge_events_inside_range():
     dates = _days(dt.date(2020, 3, 1), 4)
-    series, report = build_observed([], {"kl": _daily(dates, [5, 6, 7, 8])},
-                                    {dates[2]: 3}, "kl", 1000)
+    series, report = build_observed([], _daily(dates, [5, 6, 7, 8]), {dates[2]: 3}, "kl", 1000)
     assert series.daily_event_linked == (0, 0, 3, 0)
     assert series.dates == tuple(dates)
     assert not report.warnings
@@ -176,8 +180,7 @@ def test_merge_events_extends_range():
            RawCaseRecord(dates[2], "Kerala", "Imported"),
            RawCaseRecord(dates[2], "Kerala", "Imported")]
     after = dt.date(2020, 3, 6)
-    series, report = build_observed(raw, {"kl": _daily(dates, [5, 6, 7])},
-                                    {after: 4}, "kl", 1000)
+    series, report = build_observed(raw, _daily(dates, [5, 6, 7]), {after: 4}, "kl", 1000)
     assert series.dates[-1] == after
     assert len(series) == 6
     assert series.daily_confirmed == (5, 6, 7, 0, 0, 0)
@@ -192,7 +195,7 @@ def test_build_observed_rejects_negative_event_count():
     dates = _days(dt.date(2020, 3, 1), 2)
     with pytest.raises(NegativeCountError,
                        match="^negative event count -2 on 2020-03-02$"):
-        build_observed([], {"kl": _daily(dates, [5, 6])}, {dates[1]: -2}, "kl", 1000)
+        build_observed([], _daily(dates, [5, 6]), {dates[1]: -2}, "kl", 1000)
 
 
 def test_build_observed_tallies_imported():
@@ -205,8 +208,8 @@ def test_build_observed_tallies_imported():
         RawCaseRecord(d, "Rajasthan", "Imported"),
         RawCaseRecord(d + dt.timedelta(days=2), "Kerala", "Imported"),
     ]
-    daily = {"kl": {d: {"confirmed": 4, "recovered": 0, "deceased": 0},
-                    d + dt.timedelta(days=2): {"confirmed": 2, "recovered": 1, "deceased": 0}}}
+    daily = {d: {"confirmed": 4, "recovered": 0, "deceased": 0},
+             d + dt.timedelta(days=2): {"confirmed": 2, "recovered": 1, "deceased": 0}}
     series, report = build_observed(raw, daily, {}, "kl", 1000)
     assert series.daily_imported == (3, 0, 1)
     assert sum(series.daily_imported) == sum(
@@ -218,12 +221,10 @@ def test_build_observed_tallies_imported():
 
 
 def test_build_observed_unknown_state():
-    with pytest.raises(SchemaError):
-        build_observed([], {"kl": {}}, {}, "mh", 1000)
     with pytest.raises(SchemaError, match="no data rows"):
-        build_observed([], {"kl": {}}, {}, "kl", 1000)
+        build_observed([], {}, {}, "kl", 1000)
     with pytest.raises(ConfigError):
-        build_observed([], {"kl": {}}, {}, "kl", 0)
+        build_observed([], {}, {}, "kl", 0)
 
 
 def test_observed_series_validation():
@@ -280,7 +281,7 @@ def test_bom_input_parses(tmp_path):
 
 _PARSERS = {
     "raw cases": parse_raw_cases,
-    "states daily": lambda stream: parse_states_daily(stream, ("kl",)),
+    "states daily": lambda stream: parse_states_daily(stream, "kl"),
     "event counts": parse_event_counts,
 }
 

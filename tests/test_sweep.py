@@ -132,6 +132,16 @@ def test_run_sweep_settled_runs_match_scalar_runs_bitwise():
     _assert_matches_scalar_runs(coarse, dt=0.5)
 
 
+def test_run_sweep_at_dt_1_matches_scalar_runs_bitwise():
+    # at dt 1.0 only runs with beta_x + beta_e + gamma <= SETTLE_DT_RATES may settle, so the
+    # grid thinned in order of rate sum holds both runs that settle and runs that cannot
+    grid = sample_grid(30, 28)
+    triples = grid[np.argsort(grid.sum(axis=1))[::900]]
+    eligible = _settle_eligible(triples, 1.0)
+    assert 0 < eligible.sum() < len(triples)
+    _assert_matches_scalar_runs(triples, dt=1.0)
+
+
 def test_run_sweep_near_critical_runs_match_scalar_runs_bitwise():
     # beta_e within 10% of gamma: after the peak c = gamma - beta_e*s stays small, so the
     # subcritical bound E = max(i_e, beta_e*s*X/c) is barely below s + i_e and its margin
