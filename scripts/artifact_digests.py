@@ -32,6 +32,10 @@ RUNS = {
     "simulate-exo": ["simulate", "--beta-x", "0.002", "--beta-e", "0.35", "--ie0", "1e-4",
                      "--ix0", "1e-4", "--steps", "2000"],
     "simulate-sir": ["simulate", "--model", "sir", "--beta-e", "0.35", "--i0", "0.01"],
+    # exact zeros, values below 1e-5 and values in [1e-5, 1e-4), where repr and
+    # fixed notation part ways
+    "simulate-ie0-1e-7": ["simulate", "--beta-x", "0", "--ie0", "1e-7", "--ix0", "0",
+                          "--steps", "400"],
     "simulate-bad-s0": ["simulate", "--s0", "0.5"],
     "network-grid": ["network", *_GRID, "--reps", "2"],
     "network-n600-m2": ["network", "--n", "600", "--m", "2", "--reps", "2"],

@@ -92,26 +92,15 @@ def cmd_network(args) -> int:
     return 0
 
 
-def _axis_text(column) -> list[str]:
-    """repr of each value of a grid axis column, formatting each distinct value once.
-
-    The sweep's rate values lie strictly inside (0, 1), so np.unique merges no two
-    values that repr tells apart (as it would 0.0 and -0.0).
-    """
-    values, index = np.unique(column, return_inverse=True)
-    return np.array([repr(v) for v in values.tolist()], dtype=object)[index].tolist()
-
-
 def cmd_sweep(args) -> int:
     out = resolve_out_dir(args.out)
     triples = sample_grid(args.k, args.seed)
     peak, tick = run_sweep(triples, args.dt)
     scaled = scale_log_peaks(peak)
     report = fit_ols(triples, scaled)
-    rates = [_axis_text(column) for column in triples.T]
     _write(os.path.join(out, "samples.csv"),
            csv_columns_text(("beta_x", "beta_e", "gamma", "ie_peak_value", "ie_peak_tick",
-                             "log_peak_scaled"), (*rates, peak, tick, scaled)))
+                             "log_peak_scaled"), (*triples.T, peak, tick, scaled)))
     _write(os.path.join(out, "regression.json"), json_text(report.to_json_dict()))
     return 0
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exosir import cli
+from exosir._fileio import csv_columns_text
 from exosir.cli import main
 from exosir.fitting import NormalizedSeries, estimate_params
 
@@ -167,6 +168,59 @@ def test_artifacts_are_written_without_touching_the_umask(tmp_path, monkeypatch)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["peaks.json", "trajectory.csv"]
     for name in ("trajectory.csv", "peaks.json"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+
+
+def test_artifact_written_through_a_symlink_stays_a_link(tmp_path):
+    # open(path, "w") writes through a link to its target; the atomic write does the same
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    (tmp_path / "trajectory.csv").symlink_to(target)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 0
+    link = tmp_path / "trajectory.csv"
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text().startswith("t,s,i_e,i_x,r\n0.0,")
+    assert f"wrote {link}\n" in out.getvalue()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "peaks.json", "target.csv", "trajectory.csv"]
+    # a link loop is an error, as in open(), and the links stay as they were
+    target.unlink()
+    target.symlink_to(link)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 2
+    assert link.is_symlink() and target.is_symlink()
+
+
+def _float_bits(rng, size, low_exponent=0, high_exponent=2048):
+    """Floats with random sign and mantissa bits and a biased exponent in [low, high)."""
+    bits = rng.integers(0, 2**64 - 1, size=size, dtype=np.uint64, endpoint=True)
+    bits &= np.uint64((1 << 52) - 1) | np.uint64(1 << 63)
+    bits |= rng.integers(low_exponent, high_exponent, size=size).astype(np.uint64) << np.uint64(52)
+    return bits.view(np.float64)
+
+
+def test_csv_values_are_written_as_repr_writes_them():
+    # CSV values are formatted by orjson, and by repr where the two notations differ;
+    # plain repr of every value is the reference
+    rng = np.random.default_rng(20)
+    edges = [x for e in (1e-5, 1e-4, 1e16) for sign in (1.0, -1.0)
+             for x in (sign * np.nextafter(e, 0), sign * e, sign * np.nextafter(e, np.inf))]
+    floats = np.concatenate([
+        _float_bits(rng, 250_000),  # every exponent, subnormals and NaN payloads
+        _float_bits(rng, 750_000, 1003, 1083),  # 2**-20 to 2**60: both notations
+        np.array([*edges, 0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]),
+    ])
+    ints = np.concatenate([
+        rng.integers(-2**63, 2**63 - 1, size=20_000, dtype=np.int64, endpoint=True),
+        rng.integers(-10**17, 10**17, size=20_000, dtype=np.int64),
+        np.array([0, 10**16 - 1, 10**16, -10**16, 2**63 - 1, -2**63], dtype=np.int64),
+    ])
+    for column in (floats, ints):
+        header, *rows = csv_columns_text(("x",), (column,)).splitlines()
+        assert header == "x"
+        assert rows == [repr(x) for x in column.tolist()]
+    assert csv_columns_text(("a", "b"), (np.array([]), np.array([], dtype=np.int64))) == "a,b\n"
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -649,10 +703,11 @@ def test_star_import_resolves_every_public_name():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(exosir.__all__)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only the sweep's OLS needs scipy, so the other subcommands do not pay for its import
+def test_cli_import_leaves_scipy_and_orjson_unloaded():
+    # only the sweep's OLS needs scipy and only CSV writing orjson, so a run that needs
+    # neither, and the import itself, do not pay for them
     code = ("import sys, exosir.cli; exosir.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
