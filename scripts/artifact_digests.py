@@ -37,6 +37,12 @@ RUNS = {
     "simulate-ie0-1e-7": ["simulate", "--beta-x", "0", "--ie0", "1e-7", "--ix0", "0",
                           "--steps", "400"],
     "simulate-bad-s0": ["simulate", "--s0", "0.5"],
+    # one step is clamped into [0, 1]; the run goes on and exits 0
+    "simulate-clamp": ["simulate", "--beta-x", "0.41", "--beta-e", "2.16", "--gamma", "1.58",
+                       "--dt", "1", "--ie0", "1e-4", "--ix0", "0", "--steps", "200"],
+    # an undershoot beyond the clamp band at step 5: exit 3
+    "simulate-exit3": ["simulate", "--beta-x", "1.49", "--beta-e", "1.98", "--gamma", "1.76",
+                       "--dt", "1", "--ie0", "1e-4", "--ix0", "1e-4", "--steps", "200"],
     "network-grid": ["network", *_GRID, "--reps", "2"],
     "network-n600-m2": ["network", "--n", "600", "--m", "2", "--reps", "2"],
     "sweep-k15-seed25": ["sweep", "--k", "15", "--seed", "25"],

@@ -26,9 +26,11 @@ def atomic_write_text(path: str, text: str) -> None:
     regular file, the temp file takes that file's permission bits instead, as
     open() would keep them. A symlink is resolved first, so the write goes
     through it to its target, as open() would, and the link stays a link; a
-    link loop is an OSError, as in open().
+    link loop is an OSError, as in open(). A symlinked directory on the way is
+    left as it is: the temp file and the rename both go through it.
     """
-    path = os.path.realpath(path)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     directory = os.path.dirname(path)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     try:
@@ -70,15 +72,17 @@ def _column_texts(column) -> list[str]:
     which repr does exactly when the magnitude lies below 1e-4 or at 1e16 and
     above. Those values, NaN and the infinities (which orjson writes as null)
     are given to repr. Zeros and the ints below 1e16 read the same in both.
+    orjson reads the array itself, which it needs C-contiguous.
     """
     import orjson
 
-    values = column.tolist()
+    data = orjson.dumps(np.ascontiguousarray(column), option=orjson.OPT_SERIALIZE_NUMPY)
     # the slice keeps an empty column empty, where "".split(",") gives [""]
-    texts = orjson.dumps(values).decode()[1:-1].split(",")[:len(values)]
+    texts = data.decode()[1:-1].split(",")[:len(column)]
     magnitude = np.abs(column)
-    for i in np.flatnonzero(~(magnitude >= 1e-4) & (column != 0) | (magnitude >= 1e16)).tolist():
-        texts[i] = repr(values[i])
+    odd = np.flatnonzero(~(magnitude >= 1e-4) & (column != 0) | (magnitude >= 1e16))
+    for i, value in zip(odd.tolist(), column[odd].tolist()):
+        texts[i] = repr(value)
     return texts
 
 

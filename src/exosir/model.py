@@ -107,7 +107,10 @@ def exo_sir_rhs(state: CompartmentState, params: ModelParams) -> tuple[float, fl
     s, i_e, i_x, r = state.s, state.i_e, state.i_x, state.r
     if not (math.isfinite(s) and math.isfinite(i_e) and math.isfinite(i_x) and math.isfinite(r)):
         raise InvalidStateError(f"non-finite state: {state!r}")
-    return _exo_sir_f(params.beta_x, params.beta_e, params.gamma)(s, i_e, i_x, r)
+    beta_x, beta_e, gamma = params.beta_x, params.beta_e, params.gamma
+    i = i_e + i_x
+    endo = beta_e * s * i
+    return (-beta_x * s - endo, beta_x * s - gamma * i_x, endo - gamma * i_e, gamma * i)
 
 
 def check_step_size(dt: float) -> None:
@@ -180,43 +183,65 @@ def _check_batch(values, step: int):
     return out
 
 
-def _exo_sir_f(beta_x, beta_e, gamma):
-    """exo_sir_rhs on unpacked compartments; rates may be floats or arrays of runs."""
-    neg_beta_x = -beta_x
+def _float_steps(rates, s, ie, ix, r, dt: float, tick: int):
+    """Yield each checked RK4 step of one run on Python floats, from step tick + 1 on.
 
-    def f(s, ie, ix, r):
+    rates is (beta_x, beta_e, gamma). The four stages of the Exo-SIR right-hand
+    side are written out: each performs the float operations of exo_sir_rhs, and
+    the step those of classical RK4, in the order _BatchRK4 performs them per run.
+    The right-hand side does not read r, so no stage moves it. A step that fails
+    the first test of _check_step goes to _check_step, to be clamped or rejected.
+    """
+    beta_x, beta_e, gamma = rates
+    neg_beta_x = -beta_x
+    half, sixth = dt / 2.0, dt / 6.0
+    while True:
+        tick += 1
         i = ie + ix
         endo = beta_e * s * i
-        return (neg_beta_x * s - endo, beta_x * s - gamma * ix, endo - gamma * ie, gamma * i)
-    return f
-
-
-def rk4_step(f, s, ie, ix, r, dt: float):
-    """One classical RK4 step of f(s, i_e, i_x, r) -> (ds, di_x, di_e, dr).
-
-    The single-run step, on Python floats; _BatchRK4 performs the same float
-    operations per run on a stack of runs. f does not read r, so the stages
-    pass it unchanged.
-    """
-    half = dt / 2.0
-    ds1, dx1, de1, dr1 = f(s, ie, ix, r)
-    ds2, dx2, de2, dr2 = f(s + half * ds1, ie + half * de1, ix + half * dx1, r)
-    ds3, dx3, de3, dr3 = f(s + half * ds2, ie + half * de2, ix + half * dx2, r)
-    ds4, dx4, de4, dr4 = f(s + dt * ds3, ie + dt * de3, ix + dt * dx3, r)
-    sixth = dt / 6.0
-    return (s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4),
-            ie + sixth * (de1 + 2.0 * de2 + 2.0 * de3 + de4),
-            ix + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
-            r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))
+        ds1 = neg_beta_x * s - endo
+        dx1 = beta_x * s - gamma * ix
+        de1 = endo - gamma * ie
+        dr1 = gamma * i
+        zs, ze, zx = s + half * ds1, ie + half * de1, ix + half * dx1
+        i = ze + zx
+        endo = beta_e * zs * i
+        ds2 = neg_beta_x * zs - endo
+        dx2 = beta_x * zs - gamma * zx
+        de2 = endo - gamma * ze
+        dr2 = gamma * i
+        zs, ze, zx = s + half * ds2, ie + half * de2, ix + half * dx2
+        i = ze + zx
+        endo = beta_e * zs * i
+        ds3 = neg_beta_x * zs - endo
+        dx3 = beta_x * zs - gamma * zx
+        de3 = endo - gamma * ze
+        dr3 = gamma * i
+        zs, ze, zx = s + dt * ds3, ie + dt * de3, ix + dt * dx3
+        i = ze + zx
+        endo = beta_e * zs * i
+        ds4 = neg_beta_x * zs - endo
+        dx4 = beta_x * zs - gamma * zx
+        de4 = endo - gamma * ze
+        dr4 = gamma * i
+        s += sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+        ie += sixth * (de1 + 2.0 * de2 + 2.0 * de3 + de4)
+        ix += sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+        r += sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
+        if not (0.0 <= s <= 1.0 and 0.0 <= ie <= 1.0 and 0.0 <= ix <= 1.0 and 0.0 <= r <= 1.0
+                and abs(s + ie + ix + r - 1.0) <= CONSERVATION_TOL):
+            s, ie, ix, r = _check_step((s, ie, ix, r), tick)
+        yield s, ie, ix, r
 
 
 class _BatchRK4:
-    """rk4_step and _check_batch for a batch of runs, stacked as one (4, runs) array.
+    """_float_steps for a batch of runs, stacked as one (4, runs) array.
 
     y holds the rows (s, i_e, i_x, r) and rates the rows (beta_x, beta_e, gamma).
     Every stage is written into buffers allocated here, with views made once, so a
     step costs a fixed number of numpy calls whatever the width; each run performs
-    exactly the float operations of rk4_step and _exo_sir_f, in the same order.
+    exactly the float operations of _float_steps, in the same order, and a step is
+    checked as _check_batch would check it.
     Compacting the batch makes a new kernel.
     """
 
@@ -242,7 +267,7 @@ class _BatchRK4:
         self._y3, self._k3, self._acc3 = y[:3], k[:3], acc[:3]
 
     def _f(self, z, k) -> None:
-        """_exo_sir_f at the stage whose row views are z, into the row views k."""
+        """The Exo-SIR right-hand side at the stage whose row views are z, into the row views k."""
         s, ie, ix, ie_ix = z
         ds, de_dx, dr = k
         endo, bxs_pm, endo_bxs, neg_bxs, i = self._work
@@ -311,15 +336,15 @@ def integrate(initial: CompartmentState, params: ModelParams,
     check_array_size(n_steps + 1, f"n_steps={n_steps}")
     initial.validate()
 
-    f = _exo_sir_f(params.beta_x, params.beta_e, params.gamma)
     # allocated up front, so a request too large for memory fails before any step
     S, IE, IX, R = (np.empty(n_steps + 1) for _ in range(4))
     views = [memoryview(arr) for arr in (S, IE, IX, R)]
     vs, vie, vix, vr = views  # item stores on a memoryview skip numpy's scalar path
     s, ie, ix, r = initial.s, initial.i_e, initial.i_x, initial.r
     vs[0], vie[0], vix[0], vr[0] = s, ie, ix, r
-    for k in range(1, n_steps + 1):
-        s, ie, ix, r = _check_step(rk4_step(f, s, ie, ix, r, dt), k)
+    steps = _float_steps((params.beta_x, params.beta_e, params.gamma), s, ie, ix, r, dt, 0)
+    # the range comes first, so the zip stops before the generator takes a step too many
+    for k, (s, ie, ix, r) in zip(range(1, n_steps + 1), steps):
         vs[k], vie[k], vix[k], vr[k] = s, ie, ix, r
     for view, arr in zip(views, (S, IE, IX, R)):
         view.release()

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
-from .model import (UNDERSHOOT_TOL, _BatchRK4, _check_step, _exo_sir_f, check_array_size,
-                    check_step_size, rk4_step)
+from .model import UNDERSHOOT_TOL, _BatchRK4, _float_steps, check_array_size, check_step_size
 from .regression import RegressionReport, fit_linear
 
 SWEEP_INITIAL = (0.999996, 1e-6, 3e-6, 0.0)
@@ -148,6 +147,22 @@ def _settled(run_peak, s, ie, ix, rates, last_tick: int):
     return run_peak > bound + margin
 
 
+def _settled_float(run_peak, s, ie, ix, rates, last_tick: int) -> bool:
+    """_settled for one run on Python floats, with the same float operations and decision."""
+    bx, be, g = rates
+    margin = last_tick * SETTLE_STEP_SLACK
+    s_hi = s + margin
+    c = g - be * s_hi
+    bound = s + ie
+    if c > 0.0:
+        x_hi = max(ix, bx * s / g) + margin * (1.0 + bx / g)
+        e_hi = be * s_hi * x_hi / c
+        if e_hi != e_hi:  # 0*inf where X overflows; _settled's NaN bound settles nothing
+            return False
+        bound = min(bound, max(ie, e_hi))
+    return run_peak > bound + margin
+
+
 def _check_rates(triples: np.ndarray) -> None:
     """Raise ParameterError unless every rate is finite and nonnegative, as ModelParams."""
     bad = ~(np.isfinite(triples) & (triples >= 0.0))
@@ -207,7 +222,7 @@ def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: in
     """Finish each run of a _batch state on Python floats, one run after another.
 
     Every run takes the batch's steps, peak rule, settle ticks and checkpoints, and
-    _check_step decides each step as _check_batch does for that run. Stores the
+    _float_steps decides each step as _check_batch does for that run. Stores the
     peaks and ticks and returns the runs still rising on last_tick; raises the
     first IntegrationError of a run, which need not be the batch's first.
     """
@@ -216,12 +231,10 @@ def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: in
     for run, s, ie, ix, r, run_peak, run_tick in zip(active.tolist(), *y.tolist(),
                                                         run_peaks.tolist(), run_ticks.tolist()):
         rates = triples[run].tolist()
-        f = _exo_sir_f(*rates)
         settles = bool(eligible[run])
-        tick, checkpoint = start, first_checkpoint
-        while True:
-            tick += 1
-            s, ie, ix, r = _check_step(rk4_step(f, s, ie, ix, r, dt), tick)
+        checkpoint = first_checkpoint
+        steps = _float_steps(rates, s, ie, ix, r, dt, start)
+        for tick, (s, ie, ix, r) in enumerate(steps, start + 1):
             if ie > run_peak:
                 run_peak, run_tick = ie, tick
             if tick == checkpoint:
@@ -232,7 +245,7 @@ def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: in
                     break
                 checkpoint *= 2
             elif (tick % SETTLE_EVERY == 0 and settles
-                  and _settled(run_peak, s, ie, ix, rates, last_tick)):
+                  and _settled_float(run_peak, s, ie, ix, rates, last_tick)):
                 break
         peak[run], ptick[run] = run_peak, run_tick
     return rising
@@ -253,8 +266,8 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
 
     The batch steps on model._BatchRK4. Once at most SCALAR_TAIL_RUNS runs are
     left, a batch tick costs more than stepping them one by one, so each is
-    finished on Python floats by rk4_step, which performs the kernel's float
-    operations, with the same step checks, peak rule, settle test and
+    finished on Python floats by model._float_steps, which performs the kernel's
+    float operations, with the same step checks, peak rule, settle test and
     checkpoints. If one of them fails, the batch reruns from the hand-off
     state and raises the batch's own error, with its message and step.
     """

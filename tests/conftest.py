@@ -1,5 +1,5 @@
-"""Shared test helpers: an OLS oracle and a classical SIR integrator, both
-independent of the library under test."""
+"""Shared test helpers: an OLS oracle, a classical SIR integrator and the reference
+Exo-SIR RK4 step, all independent of the library under test."""
 
 import math
 
@@ -55,7 +55,7 @@ def sir_rk4(initial, params, dt, n_steps):
     """Classical SIR (s, i, r) by fixed-step RK4, written in its own (s, i, r) form.
 
     ds = -beta*s*i, di = beta*s*i - gamma*i, dr = gamma*i, with the stages and
-    their combination in the order of model.rk4_step. Returns three arrays of
+    their combination in the order of rk4_step below. Returns three arrays of
     n_steps + 1 values.
     """
     beta, gamma = params
@@ -76,3 +76,36 @@ def sir_rk4(initial, params, dt, n_steps):
                    r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))
         out.append((s, i, r))
     return tuple(np.array(column) for column in zip(*out))
+
+
+def exo_sir_f(beta_x, beta_e, gamma):
+    """The Exo-SIR right-hand side f(s, i_e, i_x, r) -> (ds, di_x, di_e, dr).
+
+    The rates may be floats or arrays of runs. beta_e*s*i is computed once per
+    call, in the order model._float_steps and model._BatchRK4 compute it.
+    """
+    neg_beta_x = -beta_x
+
+    def f(s, ie, ix, r):
+        i = ie + ix
+        endo = beta_e * s * i
+        return (neg_beta_x * s - endo, beta_x * s - gamma * ix, endo - gamma * ie, gamma * i)
+    return f
+
+
+def rk4_step(f, s, ie, ix, r, dt):
+    """One classical RK4 step of f(s, i_e, i_x, r) -> (ds, di_x, di_e, dr), unchecked.
+
+    Elementwise, so it steps one run on floats or many runs on arrays. f does
+    not read r, so the stages pass it unchanged.
+    """
+    half = dt / 2.0
+    ds1, dx1, de1, dr1 = f(s, ie, ix, r)
+    ds2, dx2, de2, dr2 = f(s + half * ds1, ie + half * de1, ix + half * dx1, r)
+    ds3, dx3, de3, dr3 = f(s + half * ds2, ie + half * de2, ix + half * dx2, r)
+    ds4, dx4, de4, dr4 = f(s + dt * ds3, ie + dt * de3, ix + dt * dx3, r)
+    sixth = dt / 6.0
+    return (s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4),
+            ie + sixth * (de1 + 2.0 * de2 + 2.0 * de3 + de4),
+            ix + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
+            r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))

@@ -192,6 +192,21 @@ def test_artifact_written_through_a_symlink_stays_a_link(tmp_path):
     assert link.is_symlink() and target.is_symlink()
 
 
+def test_artifacts_written_through_a_symlinked_out_dir(tmp_path):
+    # --out may name a link to a directory: the artifacts land in the real directory and
+    # the link stays a link, with no temp file left behind
+    real = tmp_path / "real"
+    real.mkdir()
+    (tmp_path / "out").symlink_to(real, target_is_directory=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--steps", "5", "--out", str(tmp_path / "out")]) == 0
+        assert main(["simulate", "--steps", "6", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").is_symlink()
+    assert sorted(path.name for path in real.iterdir()) == ["peaks.json", "trajectory.csv"]
+    assert len((real / "trajectory.csv").read_text().splitlines()) == 8
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "real"]
+
+
 def _float_bits(rng, size, low_exponent=0, high_exponent=2048):
     """Floats with random sign and mantissa bits and a biased exponent in [low, high)."""
     bits = rng.integers(0, 2**64 - 1, size=size, dtype=np.uint64, endpoint=True)
@@ -216,10 +231,13 @@ def test_csv_values_are_written_as_repr_writes_them():
         rng.integers(-10**17, 10**17, size=20_000, dtype=np.int64),
         np.array([0, 10**16 - 1, 10**16, -10**16, 2**63 - 1, -2**63], dtype=np.int64),
     ])
-    for column in (floats, ints):
+    # strided views too, as the sweep passes the rows of its (runs, 3) rates transposed
+    table = floats[:600_000].reshape(-1, 3)
+    for column in (floats, ints, table.T[1], ints[::3], ints[:30_000].reshape(-1, 2).T[0]):
         header, *rows = csv_columns_text(("x",), (column,)).splitlines()
         assert header == "x"
         assert rows == [repr(x) for x in column.tolist()]
+    assert not table.T[1].flags.c_contiguous
     assert csv_columns_text(("a", "b"), (np.array([]), np.array([], dtype=np.int64))) == "a,b\n"
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import sir_rk4
+from conftest import exo_sir_f, rk4_step, sir_rk4
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
 from exosir import model
 from exosir.model import (CONSERVATION_TOL, UNDERSHOOT_TOL, CompartmentState, ModelParams,
-                          Trajectory, _BatchRK4, _check_batch, _check_step, _exo_sir_f,
-                          endogenous_boost_check, exo_sir_rhs, integrate, peak_of, rk4_step)
+                          Trajectory, _BatchRK4, _check_batch, _check_step, _float_steps,
+                          endogenous_boost_check, exo_sir_rhs, integrate, peak_of)
 from exosir.sweep import SWEEP_INITIAL
 
 
@@ -193,8 +193,14 @@ def _check_outcome(check, values):
         return "error"
 
 
+def _zero_rate_step(values, step):
+    """One _float_steps step with zero rates, which changes no finite value, so that the
+    stepper's own check meets the state itself."""
+    return next(_float_steps((0.0, 0.0, 0.0), *values, 0.1, step - 1))
+
+
 def test_step_checks_agree_at_the_tolerance_edge():
-    # both checks clamp first and then test conservation, so they accept, clamp and reject
+    # the checks clamp first and then test conservation, so they accept, clamp and reject
     # the same steps, also where a clamp moves the sum across the tolerance. Here the sum is
     # 1e-9 + 3e-13 too high before s is clamped and within the tolerance after
     r = CONSERVATION_TOL - 2e-13
@@ -213,9 +219,102 @@ def test_step_checks_agree_at_the_tolerance_edge():
             CONSERVATION_TOL + rng.uniform(-3.0, 3.0) * UNDERSHOOT_TOL)
         single = _check_outcome(_check_step, tuple(values.tolist()))
         assert single == _check_outcome(_check_batch, [np.array([v]) for v in values])
+        assert single == _check_outcome(_zero_rate_step, tuple(values.tolist()))
         outcomes.append(single)
     accepted = [o for o in outcomes if o != "error"]
     assert 0.1 < len(accepted) / len(outcomes) < 0.9
+
+
+# --- the float stepper ---
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _float_steps_outcome(rates, y, dt, tick, n):
+    """n steps of _float_steps from tick: each state's bytes, then an error's text and step."""
+    out = []
+    try:
+        for _, values in zip(range(n), _float_steps(rates, *y, dt, tick)):
+            out.append(_bits(values))
+    except IntegrationError as err:
+        out.append((str(err), err.step))
+    return out
+
+
+def _reference_steps_outcome(rates, y, dt, tick, n):
+    """The same n steps by the reference rk4_step, each checked by _check_step."""
+    f, out = exo_sir_f(*rates), []
+    try:
+        for step in range(tick + 1, tick + n + 1):
+            y = _check_step(rk4_step(f, *y, dt), step)
+            out.append(_bits(y))
+    except IntegrationError as err:
+        out.append((str(err), err.step))
+    return out
+
+
+@pytest.mark.parametrize("dt, rate_max", [(0.1, 2.0), (0.5, 1.0), (1.0, 1.0)])
+def test_float_steps_match_rk4_step_bitwise(dt, rate_max):
+    # three steps from each state, starting past tick 0, equal the reference step and check
+    # bit for bit; zero rates and empty compartments are included
+    rng = np.random.default_rng(34)
+    count = 2000
+    y = _simplex_states(rng, count)
+    rates = rng.uniform(0.0, rate_max, (3, count))
+    rates[rng.random((3, count)) < 0.1] = 0.0
+    ticks = rng.integers(0, 40_000, count)
+    outcomes = []
+    for run_rates, run_y, tick in zip(rates.T.tolist(), y.T.tolist(), ticks.tolist()):
+        outcome = _float_steps_outcome(run_rates, run_y, dt, tick, 3)
+        assert outcome == _reference_steps_outcome(run_rates, run_y, dt, tick, 3)
+        outcomes.append(outcome)
+    assert sum(isinstance(o[-1], tuple) for o in outcomes) < count // 20
+
+
+@pytest.mark.parametrize("rates, dt, kind", [
+    ((2.0, 5.0, 2.0), 1.0, "undershoot"), ((0.0, 0.0, 6.0), 1.0, "overshoot"),
+    ((1e300, 1e300, 1e300), 1.0, "non-finite"), ((0.0, 90.0, 0.0), 0.5, "undershoot"),
+])
+def test_float_steps_errors_match_check_step(rates, dt, kind):
+    # steps beyond the clamp band raise as _check_step does, with its text and step number
+    rng = np.random.default_rng(35)
+    y = _simplex_states(rng, 500)
+    y[:, 0] = (0.25, 0.25, 0.25, 0.25)
+    errors = []
+    with np.errstate(all="ignore"):
+        for run_y in y.T.tolist():
+            outcome = _float_steps_outcome(rates, run_y, dt, 7, 4)
+            assert outcome == _reference_steps_outcome(rates, run_y, dt, 7, 4)
+            if isinstance(outcome[-1], tuple):
+                errors.append(outcome[-1])
+    assert any(kind in text and 8 <= step <= 11 for text, step in errors)
+
+
+def test_float_steps_clamp_one_step_of_a_run():
+    # at dt 1 these rates take r to 1.0000000000000002 at step 85, inside the clamp band;
+    # the run goes on from the clamped state, as the reference does
+    rates, y = (0.41, 2.16, 1.58), (1.0 - 1e-4, 1e-4, 0.0, 0.0)
+    outcome = _float_steps_outcome(rates, y, 1.0, 0, 200)
+    assert outcome == _reference_steps_outcome(rates, y, 1.0, 0, 200)
+    assert len(outcome) == 200
+    f, clamped = exo_sir_f(*rates), []
+    for step in range(1, 201):
+        raw = rk4_step(f, *y, 1.0)
+        y = _check_step(raw, step)
+        if y is not raw:
+            clamped.append(step)
+    assert clamped == [85]
+
+
+def test_integrate_stops_before_the_step_past_n_steps():
+    # step 5 of this run undershoots beyond the clamp band; four steps never take it
+    init = state(1.0 - 2e-4, 1e-4, 1e-4, 0.0)
+    params = ModelParams(beta_x=1.49, beta_e=1.98, gamma=1.76)
+    assert len(integrate(init, params, dt=1.0, n_steps=4)) == 5
+    with pytest.raises(IntegrationError, match="undershoot") as err:
+        integrate(init, params, dt=1.0, n_steps=5)
+    assert err.value.step == 5
 
 
 # --- the sweep's batch kernel ---
@@ -241,7 +340,7 @@ def _kernel_outcome(y, rates, dt, tick=3):
 
 def _reference_outcome(y, rates, dt, tick=3):
     """rk4_step on each run's Python floats, then _check_batch over the runs."""
-    steps = [rk4_step(_exo_sir_f(*run_rates), *run_y, dt)
+    steps = [rk4_step(exo_sir_f(*run_rates), *run_y, dt)
              for run_rates, run_y in zip(rates.T.tolist(), y.T.tolist())]
     try:
         checked = _check_batch([np.array(row) for row in zip(*steps)], tick)
@@ -255,7 +354,7 @@ def _float_stages(y, rates, dt):
     rk4_step forms on each run's Python floats, as (3, runs) and (4, runs) arrays."""
     runs = []
     for (bx, be, g), (s, ie, ix, r) in zip(rates.T.tolist(), y.T.tolist()):
-        f, z, stages = _exo_sir_f(bx, be, g), (s, ie, ix), []
+        f, z, stages = exo_sir_f(bx, be, g), (s, ie, ix), []
         for a in (dt / 2.0, dt / 2.0, dt, None):
             ds, dx, de, dr = f(*z, r)
             stages.append((z, (ds, de, dx, dr)))
@@ -307,17 +406,20 @@ def test_batch_kernel_matches_rk4_step_bitwise(dt, rate_max):
     [0.25, np.nan, 0.25, 0.5], [np.inf, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, -np.inf],
     [0.25, 0.25, 0.25, 0.25 + 2e-9], [0.25 - 2e-9, 0.25, 0.25, 0.25],  # drift
     [1.0 + 5e-13, 0.0, 0.0, CONSERVATION_TOL],  # drift only once s is clamped
+    [-5e-14, 0.5, 0.5, 5e-14], [0.0, 0.0, 0.0, 1.0 + 5e-14],  # a few ulps out: clamped
 ])
 def test_batch_kernel_check_matches_check_batch(run):
     # with zero rates the RK4 step changes no value, so the state itself meets the check;
     # one run of a batch carries the edge case and the kernel must clamp, accept or raise
-    # (text and step) exactly as _check_batch does
+    # (text and step) exactly as _check_batch does, and _float_steps as _check_step does
     rng = np.random.default_rng(32)
     y = _simplex_states(rng, 50)
     y[:, 7] = run
     rates = np.zeros((3, 50))
     with np.errstate(all="ignore"):
         assert _kernel_outcome(y, rates, 0.1) == _reference_outcome(y, rates, 0.1)
+        assert (_float_steps_outcome((0.0, 0.0, 0.0), run, 0.1, 2, 1)
+                == _reference_steps_outcome((0.0, 0.0, 0.0), run, 0.1, 2, 1))
 
 
 def test_batch_kernel_fast_check_accepts_only_what_check_batch_leaves(monkeypatch):

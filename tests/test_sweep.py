@@ -8,13 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import exo_sir_f, rk4_step
 from exosir import sweep
 from exosir.errors import HorizonError, IntegrationError, ParameterError, ScalingDomainError
-from exosir.model import (CompartmentState, ModelParams, _exo_sir_f, integrate,
-                          peak_of, rk4_step)
+from exosir.model import CompartmentState, ModelParams, integrate, peak_of
 from exosir.sweep import (DEFAULT_DT, DEFAULT_HORIZON, SETTLE_DT_RATES, SWEEP_INITIAL,
-                          _settle_eligible, _settled, fit_ols, run_sweep, sample_grid,
-                          scale_log_peaks)
+                          _settle_eligible, _settled, _settled_float, fit_ols, run_sweep,
+                          sample_grid, scale_log_peaks)
 
 
 def test_sample_grid_k2_is_full_product():
@@ -220,7 +220,7 @@ def test_settle_eligibility_guard():
 
 def _rk4_stages(rates, states, dt):
     """The four RK4 stage states of each run, and the step's result."""
-    f = _exo_sir_f(*rates.T)
+    f = exo_sir_f(*rates.T)
     y = tuple(states.T)
     stages = [y]
     for a in (dt / 2.0, dt / 2.0, dt):
@@ -250,6 +250,54 @@ def test_settle_predicate():
     rates = np.array([[0.1] * 3, [0.25] * 3, [0.5] * 3])
     peak = 1.0 / 30.0 + np.array([1e-6, 0.0, -1e-6])
     assert _settled(peak, s, ie, ix, rates, DEFAULT_HORIZON * 16).tolist() == [True, False, False]
+
+
+def test_settle_predicate_on_floats_decides_as_on_arrays():
+    # _settled_float, which the scalar tail calls, decides as _settled on 2*10^5 states:
+    # gamma = 0, beta_e*s_hi within a few ulps of gamma (c = g - beta_e*s_hi at 0, on
+    # either side), gammas so small that X overflows, and peaks on the bound and a few
+    # ulps to either side of it
+    rng = np.random.default_rng(40)
+    count = 200_000
+    last_tick = rng.choice([16, 3200, 32000], count)
+    margin = last_tick * sweep.SETTLE_STEP_SLACK
+    y = rng.dirichlet([0.3] * 4, count)
+    y[rng.random((count, 4)) < 0.2] = 0.0
+    y[y.sum(axis=1) == 0.0, 0] = 1.0
+    s, ie, ix, _ = (y / y.sum(axis=1, keepdims=True)).T
+    bx, be, g = rng.uniform(0.0, 2.0, (3, count))
+    bx[rng.random(count) < 0.1] = 0.0
+    g[rng.random(count) < 0.1] = 0.0
+    edge = rng.random(count) < 0.3
+    be[edge] = g[edge] / (s[edge] + margin[edge])
+    for _ in range(3):
+        nudge = edge & (rng.random(count) < 0.5)
+        be[nudge] = np.nextafter(be[nudge], rng.choice([0.0, np.inf], nudge.sum()))
+    tiny = rng.random(count) < 0.02
+    be[tiny], g[tiny] = 0.0, 5e-324 * rng.integers(1, 4, tiny.sum())
+    with np.errstate(all="ignore"):
+        s_hi = s + margin
+        x_hi = np.maximum(ix, bx * s / g) + margin * (1.0 + bx / g)
+        e_hi = be * s_hi * x_hi / (g - be * s_hi)
+    c = g - be * s_hi
+    assert (c == 0.0).sum() > 1000 and (edge & (c > 0.0)).sum() > 1000
+    assert (edge & (c < 0.0)).sum() > 1000
+    candidates = np.stack([s + ie, ie, np.where(np.isfinite(e_hi), e_hi, 0.5)]) + margin
+    run_peak = candidates[rng.integers(0, 3, count), np.arange(count)]
+    for _ in range(2):
+        nudge = rng.random(count) < 0.4
+        run_peak[nudge] = np.nextafter(run_peak[nudge], rng.choice([0.0, np.inf], nudge.sum()))
+    rates = np.stack([bx, be, g])
+    expected, got = [], []
+    for tick in (16, 3200, 32000):
+        at = last_tick == tick
+        with np.errstate(all="ignore"):
+            expected += _settled(run_peak[at], s[at], ie[at], ix[at], rates[:, at], tick).tolist()
+        got += [_settled_float(*values[:4], values[4:], tick) for values in
+                zip(run_peak[at].tolist(), s[at].tolist(), ie[at].tolist(), ix[at].tolist(),
+                    *rates[:, at].tolist())]
+    assert got == expected
+    assert 0.2 < np.mean(got) < 0.8
 
 
 def test_subcritical_bound_holds_at_every_stage():
