@@ -43,11 +43,14 @@ RUNS = {
     # an undershoot beyond the clamp band at step 5: exit 3
     "simulate-exit3": ["simulate", "--beta-x", "1.49", "--beta-e", "1.98", "--gamma", "1.76",
                        "--dt", "1", "--ie0", "1e-4", "--ix0", "1e-4", "--steps", "200"],
+    # the step overflows to inf and NaN: exit 3, and the message of the step check
+    "simulate-nonfinite": ["simulate", "--beta-e", "1e200", "--dt", "1", "--steps", "3"],
     "network-grid": ["network", *_GRID, "--reps", "2"],
     "network-n600-m2": ["network", "--n", "600", "--m", "2", "--reps", "2"],
     "sweep-k15-seed25": ["sweep", "--k", "15", "--seed", "25"],
     "sweep-k15-seed26": ["sweep", "--k", "15", "--seed", "26"],
     "sweep-k12-dt0.5": ["sweep", "--k", "12", "--dt", "0.5"],
+    "sweep-nonfinite": ["sweep", "--k", "3", "--dt", "1e200"],
     "fit-tn-events": [*_FIT, "--state", "tn", "--events", os.path.join(DATA, "events_tn.csv")],
     "fit-kl": [*_FIT, "--state", "kl"],
     "fit-rj": [*_FIT, "--state", "rj"],

@@ -130,44 +130,18 @@ def check_array_size(count: int, what: str) -> None:
         raise ParameterError(f"{what} needs {count} values, more than one array can hold")
 
 
-def _check_step(values, step: int):
-    """Conservation and bounds checks for one integrated step; returns clamped values.
-
-    Out-of-range values are clamped first and conservation is tested on the
-    clamped values, as _check_batch does per run, so the two decide every
-    step alike.
-    """
-    s, ie, ix, r = values
-    if (0.0 <= s <= 1.0 and 0.0 <= ie <= 1.0 and 0.0 <= ix <= 1.0 and 0.0 <= r <= 1.0
-            and abs(s + ie + ix + r - 1.0) <= CONSERVATION_TOL):
-        return values  # NaN fails every comparison above, so it takes the path below
-    for v in values:
-        if not math.isfinite(v):
-            raise IntegrationError("non-finite compartment", step)
-    out = []
-    for v in values:
-        if v < 0.0:
-            if v < -UNDERSHOOT_TOL:
-                raise IntegrationError(f"compartment undershoot {v!r}", step)
-            v = 0.0
-        elif v > 1.0:
-            if v > 1.0 + UNDERSHOOT_TOL:
-                raise IntegrationError(f"compartment overshoot {v!r}", step)
-            v = 1.0
-        out.append(v)
-    total = out[0] + out[1] + out[2] + out[3]
-    if abs(total - 1.0) > CONSERVATION_TOL:
-        raise IntegrationError(f"conservation violated: sum={total!r}", step)
-    return out
-
-
 def _check_batch(values, step: int):
-    """_check_step's rules over equal-length arrays of runs; returns clamped arrays."""
+    """Check one integrated step of equal-length arrays of runs; returns clamped arrays.
+
+    Compartment by compartment, a value outside [0, 1] by at most UNDERSHOOT_TOL is
+    clamped into it, and one further out, or not finite, raises IntegrationError; then
+    conservation is tested on the clamped values.
+    """
     out = []
     for v in values:
         low, high = v.min(), v.max()
         if not (math.isfinite(low) and math.isfinite(high)):  # min and max propagate NaN
-            raise IntegrationError("non-finite compartment in sweep batch", step)
+            raise IntegrationError("non-finite compartment", step)
         if low < 0.0:
             if low < -UNDERSHOOT_TOL:
                 raise IntegrationError(f"compartment undershoot {float(low)!r}", step)
@@ -190,7 +164,7 @@ def _float_steps(rates, s, ie, ix, r, dt: float, tick: int):
     side are written out: each performs the float operations of exo_sir_rhs, and
     the step those of classical RK4, in the order _BatchRK4 performs them per run.
     The right-hand side does not read r, so no stage moves it. A step that fails
-    the first test of _check_step goes to _check_step, to be clamped or rejected.
+    the inline test goes to _check_batch as a one-run batch, to be clamped or rejected.
     """
     beta_x, beta_e, gamma = rates
     neg_beta_x = -beta_x
@@ -230,7 +204,7 @@ def _float_steps(rates, s, ie, ix, r, dt: float, tick: int):
         r += sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
         if not (0.0 <= s <= 1.0 and 0.0 <= ie <= 1.0 and 0.0 <= ix <= 1.0 and 0.0 <= r <= 1.0
                 and abs(s + ie + ix + r - 1.0) <= CONSERVATION_TOL):
-            s, ie, ix, r = _check_step((s, ie, ix, r), tick)
+            s, ie, ix, r = np.ravel(_check_batch(np.array([[s], [ie], [ix], [r]]), tick)).tolist()
         yield s, ie, ix, r
 
 

@@ -142,7 +142,8 @@ def _settled(run_peak, s, ie, ix, rates, last_tick: int):
     sub = c > 0.0  # implies g > 0; elsewhere only s + i_e bounds i_e
     g = np.where(sub, g, 1.0)
     x_hi = np.maximum(ix, bx * s / g) + margin * (1.0 + bx / g)
-    e_hi = np.maximum(ie, be * s_hi * x_hi / np.where(sub, c, 1.0))
+    # fmax: where beta_e = 0 and X overflows, beta_e*S*X is 0*inf, a NaN, and E is i_e
+    e_hi = np.fmax(ie, be * s_hi * x_hi / np.where(sub, c, 1.0))
     bound = np.where(sub, np.minimum(s + ie, e_hi), s + ie)
     return run_peak > bound + margin
 
@@ -156,10 +157,7 @@ def _settled_float(run_peak, s, ie, ix, rates, last_tick: int) -> bool:
     bound = s + ie
     if c > 0.0:
         x_hi = max(ix, bx * s / g) + margin * (1.0 + bx / g)
-        e_hi = be * s_hi * x_hi / c
-        if e_hi != e_hi:  # 0*inf where X overflows; _settled's NaN bound settles nothing
-            return False
-        bound = min(bound, max(ie, e_hi))
+        bound = min(bound, max(ie, be * s_hi * x_hi / c))  # max(ie, nan) is ie, as fmax
     return run_peak > bound + margin
 
 

@@ -5,6 +5,7 @@ import datetime as dt
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exosir import cli
+from exosir import cli, fitting
 from exosir._fileio import csv_columns_text
 from exosir.cli import main
 from exosir.fitting import NormalizedSeries, estimate_params
@@ -393,7 +394,7 @@ def test_sweep_overflow_prints_one_error_line(tmp_path):
                            "--dt", "1e200", "--out", str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 3
-    assert proc.stderr.splitlines() == ["error: non-finite compartment in sweep batch (step 1)"]
+    assert proc.stderr.splitlines() == ["error: non-finite compartment (step 1)"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -573,6 +574,43 @@ def _bundled_fit_inputs(state: str) -> list[str]:
 def test_bundled_fits_clamp_nothing(tmp_path, capsys, state):
     assert main(["fit", *_bundled_fit_inputs(state), "--out", str(tmp_path)]) == 0
     assert "clamped" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state", ["kl", "rj", "tn"])
+def test_fit_peak_without_ix_meets_the_closed_form(tmp_path, monkeypatch, state):
+    # The run without i_x is classical SIR in (s, i_e), whose first integral is
+    # H = i_e + s - rho*ln(s), rho = gamma/beta_e. With G(s) = s - rho*ln(s), least at
+    # s = rho, each day has i_e = H - G(s), and Kermack-McKendrick's peak is
+    # i_max = i0 + s0 - rho - rho*ln(s0/rho) = H(0) - G(rho). So the reported peak p obeys
+    #   p - i_max <= D, D = max |H(day) - H(0)|, the RK4 error as the first integral
+    #     measures it along the run;
+    #   i_max - p <= D + rho*d^2/(2*s_lo^2), the grid term: s falls from s_hi >= rho to
+    #     s_lo < rho over one day, one of those days lies within d = (s_hi - s_lo)/2 of
+    #     rho, and G'' = rho/s^2. As d is about dt*beta_e*rho*i_max/2, this is
+    #     dt^2/8*|i''| with |i''| = beta_e*gamma*i_max^2 at the peak.
+    # Evaluating H, G and i_max in floats adds a few ulps of numbers below 2.
+    runs = {}
+
+    def recording(fitted, horizon):
+        runs["fitted"], runs["result"] = fitted, fitting.counterfactual_runs(fitted, horizon)
+        return runs["result"]
+
+    monkeypatch.setattr(cli, "counterfactual_runs", recording)
+    assert main(["fit", *_bundled_fit_inputs(state), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "comparison.json").read_text())
+    beta_e, gamma = report["fitted"]["beta_e"], report["fitted"]["gamma"]
+    p = report["without_ix"]["peak_value"]
+    initial, run = runs["fitted"].initial, runs["result"][1]
+    s0, i0, rho = initial.s + initial.i_x, initial.i_e, gamma / beta_e
+    assert (run.s[0], run.i_e[0]) == (s0, i0) and not run.i_x.any()
+    assert beta_e * s0 > gamma
+    i_max = i0 + s0 - rho - rho * math.log(s0 / rho)
+    drift = np.abs(run.i_e + run.s - rho * np.log(run.s) - (i0 + s0 - rho * math.log(s0))).max()
+    crossing = np.flatnonzero(run.s >= rho)[-1]
+    s_hi, s_lo = run.s[crossing], run.s[crossing + 1]
+    grid = rho * ((s_hi - s_lo) / 2.0) ** 2 / (2.0 * s_lo**2)
+    rounding = 8 * np.spacing(2.0)
+    assert -(drift + grid + rounding) <= p - i_max <= drift + rounding
 
 
 def _crafted_fit_inputs(directory: Path) -> list[str]:

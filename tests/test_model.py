@@ -10,7 +10,7 @@ from conftest import exo_sir_f, rk4_step, sir_rk4
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
 from exosir import model
 from exosir.model import (CONSERVATION_TOL, UNDERSHOOT_TOL, CompartmentState, ModelParams,
-                          Trajectory, _BatchRK4, _check_batch, _check_step, _float_steps,
+                          Trajectory, _BatchRK4, _check_batch, _float_steps,
                           endogenous_boost_check, exo_sir_rhs, integrate, peak_of)
 from exosir.sweep import SWEEP_INITIAL
 
@@ -193,18 +193,30 @@ def _check_outcome(check, values):
         return "error"
 
 
+def _check_run(values, step):
+    """_check_batch on one run: its four values as a (4, 1) batch, back as Python floats."""
+    return np.ravel(_check_batch(np.array(values, dtype=float)[:, None], step)).tolist()
+
+
 def _zero_rate_step(values, step):
     """One _float_steps step with zero rates, which changes no finite value, so that the
     stepper's own check meets the state itself."""
     return next(_float_steps((0.0, 0.0, 0.0), *values, 0.1, step - 1))
 
 
+def _zero_rate_kernel_step(values, step):
+    """One _BatchRK4 step of a one-run batch with zero rates, as _zero_rate_step."""
+    kernel = _BatchRK4(np.array(values)[:, None], np.zeros((3, 1)), 0.1)
+    kernel.step(step)
+    return kernel.y
+
+
 def test_step_checks_agree_at_the_tolerance_edge():
-    # the checks clamp first and then test conservation, so they accept, clamp and reject
-    # the same steps, also where a clamp moves the sum across the tolerance. Here the sum is
-    # 1e-9 + 3e-13 too high before s is clamped and within the tolerance after
+    # the check clamps first and then tests conservation, and both steppers accept, clamp
+    # and reject as it does, also where a clamp moves the sum across the tolerance. Here the
+    # sum is 1e-9 + 3e-13 too high before s is clamped and within the tolerance after
     r = CONSERVATION_TOL - 2e-13
-    assert _check_step((1.0 + 5e-13, 0.0, 0.0, r), 1) == [1.0, 0.0, 0.0, r]
+    assert _check_run((1.0 + 5e-13, 0.0, 0.0, r), 1) == [1.0, 0.0, 0.0, r]
     rng = np.random.default_rng(14)
     shifts = np.array([0.0, 0.5, -0.5, 1.5, -1.5]) * UNDERSHOOT_TOL
     outcomes = []
@@ -217,8 +229,8 @@ def test_step_checks_agree_at_the_tolerance_edge():
         values += rng.choice(shifts, 4)
         values[rng.integers(4)] += rng.choice([-1.0, 1.0]) * (
             CONSERVATION_TOL + rng.uniform(-3.0, 3.0) * UNDERSHOOT_TOL)
-        single = _check_outcome(_check_step, tuple(values.tolist()))
-        assert single == _check_outcome(_check_batch, [np.array([v]) for v in values])
+        single = _check_outcome(_check_run, values)
+        assert single == _check_outcome(_zero_rate_kernel_step, values)
         assert single == _check_outcome(_zero_rate_step, tuple(values.tolist()))
         outcomes.append(single)
     accepted = [o for o in outcomes if o != "error"]
@@ -243,11 +255,11 @@ def _float_steps_outcome(rates, y, dt, tick, n):
 
 
 def _reference_steps_outcome(rates, y, dt, tick, n):
-    """The same n steps by the reference rk4_step, each checked by _check_step."""
+    """The same n steps by the reference rk4_step, each checked by _check_batch."""
     f, out = exo_sir_f(*rates), []
     try:
         for step in range(tick + 1, tick + n + 1):
-            y = _check_step(rk4_step(f, *y, dt), step)
+            y = _check_run(rk4_step(f, *y, dt), step)
             out.append(_bits(y))
     except IntegrationError as err:
         out.append((str(err), err.step))
@@ -276,8 +288,8 @@ def test_float_steps_match_rk4_step_bitwise(dt, rate_max):
     ((2.0, 5.0, 2.0), 1.0, "undershoot"), ((0.0, 0.0, 6.0), 1.0, "overshoot"),
     ((1e300, 1e300, 1e300), 1.0, "non-finite"), ((0.0, 90.0, 0.0), 0.5, "undershoot"),
 ])
-def test_float_steps_errors_match_check_step(rates, dt, kind):
-    # steps beyond the clamp band raise as _check_step does, with its text and step number
+def test_float_steps_errors_match_check_batch(rates, dt, kind):
+    # steps beyond the clamp band raise as _check_batch does, with its text and step number
     rng = np.random.default_rng(35)
     y = _simplex_states(rng, 500)
     y[:, 0] = (0.25, 0.25, 0.25, 0.25)
@@ -300,9 +312,9 @@ def test_float_steps_clamp_one_step_of_a_run():
     assert len(outcome) == 200
     f, clamped = exo_sir_f(*rates), []
     for step in range(1, 201):
-        raw = rk4_step(f, *y, 1.0)
-        y = _check_step(raw, step)
-        if y is not raw:
+        raw = list(rk4_step(f, *y, 1.0))
+        y = _check_run(raw, step)
+        if y != raw:
             clamped.append(step)
     assert clamped == [85]
 
@@ -411,7 +423,7 @@ def test_batch_kernel_matches_rk4_step_bitwise(dt, rate_max):
 def test_batch_kernel_check_matches_check_batch(run):
     # with zero rates the RK4 step changes no value, so the state itself meets the check;
     # one run of a batch carries the edge case and the kernel must clamp, accept or raise
-    # (text and step) exactly as _check_batch does, and _float_steps as _check_step does
+    # (text and step) exactly as _check_batch does, and _float_steps as it does on the run
     rng = np.random.default_rng(32)
     y = _simplex_states(rng, 50)
     y[:, 7] = run

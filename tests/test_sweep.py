@@ -300,6 +300,21 @@ def test_settle_predicate_on_floats_decides_as_on_arrays():
     assert 0.2 < np.mean(got) < 0.8
 
 
+def test_settle_predicate_without_endogenous_channel():
+    # beta_e = 0 and a subnormal gamma: X = beta_x*s/gamma overflows, and beta_e*S*X/c is
+    # 0*inf, a NaN. Nothing feeds i_e, so E = i_e, and a peak above i_e by more than the
+    # margin settles on both predicates, far below the other bound s + i_e = 0.6
+    tick = DEFAULT_HORIZON * 16
+    margin = tick * sweep.SETTLE_STEP_SLACK
+    peaks = 0.1 + np.array([2.0, 1.0, 0.0]) * margin
+    s, ie, ix = np.full(3, 0.5), np.full(3, 0.1), np.full(3, 0.3)
+    rates = np.array([[0.5] * 3, [0.0] * 3, [5e-324, 1e-320, 1e-310]])
+    with np.errstate(all="ignore"):
+        assert _settled(peaks, s, ie, ix, rates, tick).tolist() == [True, False, False]
+    assert [_settled_float(peak, 0.5, 0.1, 0.3, rates[:, 0].tolist(), tick)
+            for peak in peaks.tolist()] == [True, False, False]
+
+
 def test_subcritical_bound_holds_at_every_stage():
     # at the guard's edge dt*L = 0.4, one RK4 step from a state with i_x <= X and i_e <= E
     # keeps every stage, and the result, within X and E (up to rounding), including states
@@ -367,6 +382,24 @@ def test_run_sweep_error_is_the_batch_first():
         with _tail_runs(runs), pytest.raises(IntegrationError, match=(
                 r"^compartment undershoot -2\.512194311954073e-07 \(step 7\)$")):
             run_sweep(triples)
+
+
+@pytest.mark.parametrize("triple, dt, message", [
+    ((0.0, 80.0, 0.1), 1.0, "compartment undershoot -2.501506578745937"),
+    ((5.0, 0.3, 40.0), 1.0, "compartment undershoot -6470.169830899723"),
+    ((0.1, 0.5, 0.5), 1e200, "non-finite compartment"),
+], ids=["undershoot-beta_e", "undershoot-gamma", "non-finite"])
+def test_both_layouts_report_the_same_error(triple, dt, message):
+    # the sweep's batch and a single run of integrate check each step with the one
+    # _check_batch, so a failing run raises the same text at the same step through both
+    errors = []
+    for run in (lambda: run_sweep(np.array([triple]), dt),
+                lambda: integrate(CompartmentState(*SWEEP_INITIAL), ModelParams(*triple),
+                                  dt, 10)):
+        with pytest.raises(IntegrationError) as err:
+            run()
+        errors.append((str(err.value), err.value.step))
+    assert errors == [(f"{message} (step 1)", 1)] * 2
 
 
 @pytest.mark.parametrize("k, seed, dt, digest", [
