@@ -37,6 +37,8 @@ RUNS = {
     "simulate-ie0-1e-7": ["simulate", "--beta-x", "0", "--ie0", "1e-7", "--ix0", "0",
                           "--steps", "400"],
     "simulate-bad-s0": ["simulate", "--s0", "0.5"],
+    # the implied s0 is NaN too: exit 1, and the non-finite message of the state check
+    "simulate-nan-ie0": ["simulate", "--ie0", "nan"],
     # one step is clamped into [0, 1]; the run goes on and exits 0
     "simulate-clamp": ["simulate", "--beta-x", "0.41", "--beta-e", "2.16", "--gamma", "1.58",
                        "--dt", "1", "--ie0", "1e-4", "--ix0", "0", "--steps", "200"],

@@ -47,16 +47,6 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _initial_state(s: float, i_e: float, i_x: float, r: float) -> CompartmentState:
-    """The initial state the flags describe; an invalid one is a usage error."""
-    state = CompartmentState(s=s, i_e=i_e, i_x=i_x, r=r)
-    try:
-        state.validate()
-    except InvalidStateError as exc:
-        raise ParameterError(f"invalid initial state: {exc}") from None
-    return state
-
-
 def cmd_simulate(args) -> int:
     out = resolve_out_dir(args.out)
     if args.model == "exo":
@@ -65,7 +55,11 @@ def cmd_simulate(args) -> int:
         ie0, ix0, beta_x = args.i0, 0.0, 0.0
     params = ModelParams(beta_x=beta_x, beta_e=args.beta_e, gamma=args.gamma)
     s0 = args.s0 if args.s0 is not None else 1.0 - ie0 - ix0 - args.r0
-    traj = integrate(_initial_state(s0, ie0, ix0, args.r0), params, args.dt, args.steps)
+    try:  # the state comes from the flags, so an invalid one is a usage error
+        initial = CompartmentState(s=s0, i_e=ie0, i_x=ix0, r=args.r0)
+    except InvalidStateError as exc:
+        raise ParameterError(f"invalid initial state: {exc}") from None
+    traj = integrate(initial, params, args.dt, args.steps)
     if args.model == "exo":
         _write(os.path.join(out, "trajectory.csv"),
                csv_columns_text(("t", "s", "i_e", "i_x", "r"),
@@ -144,9 +138,7 @@ def cmd_fit(args) -> int:
     if not np.any(norm.di_x):
         print(f"warning: {state}: no exogenous cases in the series; "
               "beta_x fixed at 0", file=sys.stderr)
-        fitted = estimate_params(norm, zero_exogenous_ok=True)
-    else:
-        fitted = estimate_params(norm)
+    fitted = estimate_params(norm)
     for name, diagnostic in fitted.diagnostics.items():
         if diagnostic.clamped:
             print(f"warning: {state}: {name} slope {diagnostic.raw!r} is negative, "

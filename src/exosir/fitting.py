@@ -106,8 +106,7 @@ def _slope_through_origin(y: np.ndarray, x: np.ndarray, parameter: str
     return slope, rms
 
 
-def estimate_params(norm: NormalizedSeries, *,
-                    zero_exogenous_ok: bool = False) -> FittedParams:
+def estimate_params(norm: NormalizedSeries) -> FittedParams:
     """Per-rate through-origin least squares on the discrete model equations.
 
     Day-k increments span [k-1, k], so each regressor is the trapezoid
@@ -117,9 +116,8 @@ def estimate_params(norm: NormalizedSeries, *,
     gamma comes first (dr = gamma*i), then beta_x (di_x + gamma*i_x =
     beta_x*s) and beta_e (di_e + gamma*i_e = beta_e*s*i) reuse it.
 
-    A series with no exogenous mass at all leaves beta_x unidentifiable;
-    with zero_exogenous_ok the estimate degrades to beta_x = 0 instead of
-    raising.
+    A series with no exogenous cases fixes beta_x = 0; one that has some but
+    whose beta_x signal vanishes raises UnidentifiableParameterError.
     """
     if len(norm) < 3:
         raise ParameterError(f"need at least 3 days to estimate rates, got {len(norm)}")
@@ -136,7 +134,7 @@ def estimate_params(norm: NormalizedSeries, *,
 
     y_x = norm.di_x[k] + gamma * ix_mid
     if not np.any(y_x):
-        if not zero_exogenous_ok:
+        if np.any(norm.di_x):
             raise UnidentifiableParameterError("beta_x")
         beta_x_raw, beta_x_rms = 0.0, 0.0
     else:
@@ -154,7 +152,6 @@ def estimate_params(norm: NormalizedSeries, *,
                          gamma=gamma)
     initial = CompartmentState(s=float(norm.s[0]), i_e=float(norm.i_e[0]),
                                i_x=float(norm.i_x[0]), r=float(norm.r[0]))
-    initial.validate()
     return FittedParams(params=params, initial=initial, diagnostics=diagnostics)
 
 

@@ -40,14 +40,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CompartmentState:
-    """One time slice of fractions (s, i_e, i_x, r)."""
+    """One time slice of fractions (s, i_e, i_x, r), checked when it is built."""
 
     s: float
     i_e: float
     i_x: float
     r: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         total = 0.0
         for name in ("s", "i_e", "i_x", "r"):
             value = getattr(self, name)
@@ -105,8 +105,6 @@ def exo_sir_rhs(state: CompartmentState, params: ModelParams) -> tuple[float, fl
     The four derivatives sum to zero.
     """
     s, i_e, i_x, r = state.s, state.i_e, state.i_x, state.r
-    if not (math.isfinite(s) and math.isfinite(i_e) and math.isfinite(i_x) and math.isfinite(r)):
-        raise InvalidStateError(f"non-finite state: {state!r}")
     beta_x, beta_e, gamma = params.beta_x, params.beta_e, params.gamma
     i = i_e + i_x
     endo = beta_e * s * i
@@ -308,7 +306,6 @@ def integrate(initial: CompartmentState, params: ModelParams,
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps!r}")
     check_array_size(n_steps + 1, f"n_steps={n_steps}")
-    initial.validate()
 
     # allocated up front, so a request too large for memory fails before any step
     S, IE, IX, R = (np.empty(n_steps + 1) for _ in range(4))

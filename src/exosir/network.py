@@ -492,6 +492,8 @@ def run_experiment(base_seed: int, reps: int = 50, n: int = 150, m: int = 1,
     """
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps!r}")
+    if base_seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {base_seed!r}")
     grid = [ModelParams(beta_x=bx, beta_e=be, gamma=g)
             for bx, be, g in itertools.product(beta_x_axis, beta_e_axis, gamma_axis)]
     for params in grid:

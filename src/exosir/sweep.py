@@ -110,6 +110,8 @@ def sample_grid(k: int = DEFAULT_K, seed: int = DEFAULT_SEED) -> np.ndarray:
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     check_array_size(3 * k**3, f"k={k}")
     rng = np.random.default_rng(seed)
     axes = []

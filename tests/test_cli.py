@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exosir import cli, fitting
-from exosir._fileio import csv_columns_text
+from exosir._fileio import atomic_write_text, csv_columns_text
 from exosir.cli import main
 from exosir.fitting import NormalizedSeries, estimate_params
 
@@ -191,6 +191,20 @@ def test_artifact_written_through_a_symlink_stays_a_link(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["simulate", "--steps", "5", "--out", str(tmp_path)]) == 2
     assert link.is_symlink() and target.is_symlink()
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails after the temp file
+    # is made: the error propagates, and neither the temp file nor the artifact remains
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(tmp_path / "trajectory.csv"), "t\n\ud800\n")
+    assert list(tmp_path.iterdir()) == []
+    # an existing artifact keeps its text
+    (tmp_path / "peaks.json").write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(tmp_path / "peaks.json"), "\ud800")
+    assert [path.name for path in tmp_path.iterdir()] == ["peaks.json"]
+    assert (tmp_path / "peaks.json").read_text() == "old\n"
 
 
 def test_artifacts_written_through_a_symlinked_out_dir(tmp_path):
@@ -471,6 +485,17 @@ def test_network_summary_and_determinism(tmp_path):
     assert len(rows) == 2
     assert all(row[-1] == "2" for row in rows)
     assert (dirs[0] / "summary.csv").read_bytes() == (dirs[1] / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--k", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["network", "--n", "10", "--reps", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["network", "--n", "10", "--reps", "0"], "reps must be >= 1, got 0"),
+], ids=["sweep-seed", "network-seed", "network-reps"])
+def test_negative_seed_or_no_reps_exits_1(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [
@@ -797,14 +822,17 @@ def test_simulate_numeric_flags_never_escape(tmp_path_factory, model, flags):
     assert _exit_code(argv) in {0, 1, 2, 3}
 
 
+_SEEDS = st.integers(-3, 2**130)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(flags=st.dictionaries(st.sampled_from(["--beta-x", "--beta-e", "--gamma"]),
-                             _NUMBERS, min_size=1))
-def test_network_numeric_flags_never_escape(tmp_path_factory, flags):
+                             _NUMBERS, min_size=1), seed=_SEEDS)
+def test_network_numeric_flags_never_escape(tmp_path_factory, flags, seed):
     out = tmp_path_factory.mktemp("network")
     argv = ["network", "--reps", "1", "--n", "12", "--max-ticks", "20",
             "--beta-x=0.1", "--beta-e=0.5", "--gamma=0.5", *_flag_argv(flags),
-            "--out", str(out)]
+            f"--seed={seed}", "--out", str(out)]
     assert _exit_code(argv) in {0, 1, 2, 3}
 
 
@@ -814,12 +842,13 @@ _STEPS = st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf"), -
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(k=st.integers(2, 3), dt=_STEPS)
-def test_sweep_numeric_flags_never_escape(tmp_path_factory, k, dt):
+@given(k=st.integers(2, 3), dt=_STEPS, seed=_SEEDS)
+def test_sweep_numeric_flags_never_escape(tmp_path_factory, k, dt, seed):
     out = tmp_path_factory.mktemp("sweep")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = _exit_code(["sweep", f"--k={k}", f"--dt={dt!r}", "--out", str(out)])
+        code = _exit_code(["sweep", f"--k={k}", f"--dt={dt!r}", f"--seed={seed}",
+                           "--out", str(out)])
     assert code in {0, 1, 2, 3}
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

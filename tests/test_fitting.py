@@ -128,12 +128,20 @@ def test_estimate_clamps_negative_slopes():
 
 
 def test_estimate_requires_exogenous_signal():
+    # no exogenous cases at all: beta_x is fixed at 0
     norm = normalize(_observed([1, 2, 3, 4], recovered=[0, 1, 1, 2], pop=10_000))
-    with pytest.raises(UnidentifiableParameterError, match="beta_x"):
-        estimate_params(norm)
-    fitted = estimate_params(norm, zero_exogenous_ok=True)
+    fitted = estimate_params(norm)
     assert fitted.params.beta_x == 0.0
     assert fitted.diagnostics["beta_x"].raw == 0.0
+
+
+def test_estimate_vanishing_exogenous_signal_is_unidentifiable():
+    # imported cases on day 0 only and no recoveries: gamma = 0, so every day after
+    # day 0 has di_x + gamma*i_x = 0, and beta_x cannot be told from the series
+    norm = normalize(_observed([1, 1, 1, 1], imported=[3, 0, 0, 0], pop=10_000))
+    assert norm.di_x.any()
+    with pytest.raises(UnidentifiableParameterError, match="beta_x"):
+        estimate_params(norm)
 
 
 def test_estimate_unidentifiable_gamma():
@@ -382,3 +390,12 @@ def test_export_flat_trajectory():
     assert series.daily_confirmed == (10,) + (0,) * 10
     with pytest.raises(ParameterError, match="rising prefix"):
         export_observed(traj, 1000, n_days=0)
+
+
+def test_export_rejects_a_falling_series():
+    # i_e only recovers, so no channel rises and the default cut keeps every day
+    params = ModelParams(beta_x=0.0, beta_e=0.0, gamma=0.5)
+    initial = CompartmentState(s=0.5, i_e=0.5, i_x=0.0, r=0.0)
+    traj = integrate(initial, params, 1.0, 5)
+    with pytest.raises(ParameterError, match=r"^negative daily increment"):
+        export_observed(traj, 1000)

@@ -48,9 +48,10 @@ def test_exo_rhs_derivatives_sum_to_zero():
 
 
 def test_exo_rhs_nonfinite_state_rejected():
-    for bad in (state(float("nan"), 0.0, 0.0, 1.0), state(float("inf"), 0.0, 0.0, 0.0)):
+    # the right-hand side takes only a state, and a non-finite one cannot be built
+    for values in ((float("nan"), 0.0, 0.0, 1.0), (float("inf"), 0.0, 0.0, 0.0)):
         with pytest.raises(InvalidStateError):
-            exo_sir_rhs(bad, ModelParams(0.1, 0.1, 0.1))
+            exo_sir_rhs(state(*values), ModelParams(0.1, 0.1, 0.1))
 
 
 def test_sir_rhs_nonfinite_rejected():
@@ -78,10 +79,26 @@ def test_params_validation():
 
 def test_state_validation():
     with pytest.raises(InvalidStateError):
-        state(1.2, 0.0, 0.0, -0.2).validate()
+        state(1.2, 0.0, 0.0, -0.2)
     with pytest.raises(InvalidStateError):
-        state(0.5, 0.1, 0.1, 0.1).validate()  # sums to 0.8
-    state(0.7, 0.1, 0.1, 0.1).validate()
+        state(0.5, 0.1, 0.1, 0.1)  # sums to 0.8
+    state(0.7, 0.1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("values, message", [
+    ((float("nan"), 0.0, 0.0, 1.0), "s is not finite: nan"),
+    ((0.0, 0.0, float("-inf"), 1.0), "i_x is not finite: -inf"),
+    ((0.5, 0.5, 0.0, float("inf")), "r is not finite: inf"),
+    ((0.0, 0.0, 0.0, 1.0 + 1e-12), "r outside [0, 1]: 1.000000000001"),
+    ((0.9, -1e-13, 0.1, 0.0), "i_e outside [0, 1]: -1e-13"),
+    ((0.5, 0.25, 0.25, 2e-9), "compartments sum to 1.000000002, expected 1"),
+], ids=["nan", "neg-inf", "inf", "above-one", "below-zero", "sum"])
+def test_state_is_checked_when_built(values, message):
+    # the first compartment that fails names the error, and the sum is tested last; a
+    # value out of [0, 1] by less than the conservation tolerance is still rejected
+    with pytest.raises(InvalidStateError) as err:
+        CompartmentState(*values)
+    assert str(err.value) == message
 
 
 # --- integration ---
@@ -588,6 +605,11 @@ def test_peak_of_unknown_compartment():
         peak_of(_traj_from_series([0.1]), "s")
     with pytest.raises(ParameterError):
         peak_of(_traj_from_series([0.1]), "r")
+
+
+def test_peak_of_empty_trajectory():
+    with pytest.raises(ParameterError, match=r"^empty trajectory$"):
+        peak_of(_traj_from_series([]), "i_e")
 
 
 # --- boost inequality ---

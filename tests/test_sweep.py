@@ -177,6 +177,43 @@ def test_run_sweep_without_a_channel_matches_scalar_runs_bitwise():
         _assert_matches_scalar_runs(triples)
 
 
+@pytest.mark.parametrize("dt", [0.1, 0.5])
+def test_sweep_peaks_without_beta_x_meet_the_closed_form(dt):
+    # With beta_x = 0, i = i_e + i_x follows classical SIR in (s, i), whose first integral
+    # is H = i + s - rho*ln(s), rho = gamma/beta_e. With G(s) = s - rho*ln(s), least at
+    # s = rho, each tick has i = H - G(s), and Kermack-McKendrick's peak of i is
+    # i_max = i0 + s0 - rho - rho*ln(s0/rho) = H(0) - G(rho), for beta_e*s0 > gamma. The
+    # sweep reports the i_e peak p, the largest i_e over the ticks. So, as for fit's run
+    # without i_x (tests/test_cli.py), along the same triple's integrate run:
+    #   p - i_max <= D, as i_e <= i at the peak tick, D = max |H(tick) - H(0)| being the
+    #     RK4 error as the first integral measures it;
+    #   i_max - p <= D + rho*d^2/(2*s_lo^2) + i_x, as p >= i_e = i - i_x at the tick
+    #     within d = (s_hi - s_lo)/2 of rho, where s falls from s_hi >= rho to s_lo < rho,
+    #     and G'' = rho/s^2. The grid term is dt^2/8*beta_e*gamma*i_max^2 to first order.
+    #     i_x only decays, from SWEEP_INITIAL's 3e-6: the i_x share.
+    # Evaluating H, G and i_max in floats adds a few ulps of numbers below 2.
+    s0, ie0, ix0, _ = SWEEP_INITIAL
+    i0 = ie0 + ix0
+    triples = sample_grid(12, 25)[:144].copy()  # every (beta_e, gamma) pair of the grid
+    triples[:, 0] = 0.0
+    triples = triples[triples[:, 1] * s0 > triples[:, 2]]
+    rounding = 8 * np.spacing(2.0)
+    for (_, beta_e, gamma), p, tick in zip(triples, *run_sweep(triples, dt)):
+        rho = gamma / beta_e
+        i_max = i0 + s0 - rho - rho * math.log(s0 / rho)
+        run = integrate(CompartmentState(*SWEEP_INITIAL), ModelParams(0.0, beta_e, gamma),
+                        dt, int(tick) + 2)
+        i = run.i_e + run.i_x
+        drift = np.abs(i + run.s - rho * np.log(run.s) - (i0 + s0 - rho * math.log(s0))).max()
+        crossing = np.flatnonzero(run.s >= rho)[-1]
+        assert crossing + 1 < len(run)
+        s_hi, s_lo = run.s[crossing], run.s[crossing + 1]
+        grid = rho * ((s_hi - s_lo) / 2.0) ** 2 / (2.0 * s_lo**2)
+        ix_share = run.i_x[crossing:crossing + 2].max()
+        assert ix_share <= ix0
+        assert -(drift + grid + ix_share + rounding) <= p - i_max <= drift + rounding
+
+
 @pytest.mark.parametrize("triple, message", [
     ([-0.1, 0.5, 0.5], r"^beta_x must be nonnegative, got -0\.1 \(run 1\)$"),
     ([np.nan, 0.5, 0.5], r"^beta_x must be finite, got nan \(run 1\)$"),
