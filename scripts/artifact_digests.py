@@ -9,6 +9,15 @@ code print the same lines.
 
 Run from anywhere: python3 scripts/artifact_digests.py
 Diff its output between two checkouts to see whether any output changed.
+
+tests/artifact_digests.txt holds the expected output, and
+tests/test_artifact_digests.py compares each line with it. When a change is
+meant to alter an artifact, regenerate the file with
+python3 scripts/artifact_digests.py > tests/artifact_digests.txt
+and list the old and new lines of every run that moved in CHANGES.md. The fit
+and sweep lines hash slopes computed with numpy's float64 dot product and
+least squares, so, like GOLDEN_FIT in tests/test_cli.py, they assume these
+round as on x86-64.
 """
 
 import contextlib

@@ -16,9 +16,9 @@ from .errors import (ConfigError, DataError, DuplicateDateError, ExoSirError,
 from .fitting import (FittedParams, NormalizedSeries, PeakComparison,
                       counterfactual_runs, estimate_params, export_observed,
                       fold_out_exogenous, normalize)
-from .ingest import (IngestReport, ObservedSeries, RawCaseRecord,
-                     build_observed, load_populations, parse_event_counts,
-                     parse_raw_cases, parse_states_daily)
+from .ingest import (IngestReport, ObservedSeries, build_observed,
+                     load_populations, parse_event_counts, parse_raw_cases,
+                     parse_states_daily)
 from .model import (CompartmentState, ModelParams, PeakStats, Trajectory,
                     endogenous_boost_check, exo_sir_rhs, integrate, peak_of)
 from .network import (CombinationSummary, ContactGraph, NodeStatus, SimOutcome,
@@ -34,7 +34,7 @@ __all__ = [
     "HorizonError", "IngestReport", "IntegrationError", "InvalidStateError",
     "ModelParams", "NegativeCountError", "NodeStatus", "NormalizedSeries",
     "NumericalError", "ObservedSeries", "ParameterError", "PeakComparison",
-    "PeakStats", "RawCaseRecord", "RegressionReport", "ScaleError",
+    "PeakStats", "RegressionReport", "ScaleError",
     "ScalingDomainError", "SchemaError", "SimOutcome", "SingularDesignError",
     "Trajectory", "UnidentifiableParameterError", "build_observed", "counterfactual_runs",
     "endogenous_boost_check", "estimate_params", "exo_sir_rhs",

@@ -123,7 +123,7 @@ def cmd_fit(args) -> int:
     populations = load_populations(args.pop_config)
     if state not in populations:
         raise ConfigError(f"state {state!r} missing from population config {args.pop_config}")
-    records, raw_report = _parse_file(args.raw, parse_raw_cases)
+    imported, raw_report = _parse_file(args.raw, parse_raw_cases, state)
     _note(raw_report, "raw cases")
     daily, daily_report = _parse_file(args.daily, parse_states_daily, state)
     _note(daily_report, "daily series")
@@ -131,7 +131,7 @@ def cmd_fit(args) -> int:
     if args.events:
         events, event_report = _parse_file(args.events, parse_event_counts)
         _note(event_report, "events")
-    series, build_report = build_observed(records, daily, events, state,
+    series, build_report = build_observed(imported, daily, events, state,
                                           populations[state])
     _note(build_report, "observed series")
     norm = normalize(series)

@@ -26,8 +26,6 @@ MAX_HORIZON_DAYS = 4096
 class NormalizedSeries:
     """Per-capita daily increments and their running-sum cumulatives."""
 
-    state: str
-    dates: tuple[dt.date, ...]
     di_e: np.ndarray
     di_x: np.ndarray
     dr: np.ndarray
@@ -35,10 +33,9 @@ class NormalizedSeries:
     i_e: np.ndarray
     i_x: np.ndarray
     r: np.ndarray
-    population_n: int
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return self.s.size
 
     @property
     def i(self) -> np.ndarray:
@@ -91,8 +88,7 @@ def normalize(series: ObservedSeries) -> NormalizedSeries:
                 "is likely too small for these counts")
     for arr in (di_e, di_x, dr, s, i_e, i_x, r):
         arr.flags.writeable = False
-    return NormalizedSeries(series.state, series.dates, di_e, di_x, dr,
-                            s, i_e, i_x, r, series.population_n)
+    return NormalizedSeries(di_e, di_x, dr, s, i_e, i_x, r)
 
 
 def _slope_through_origin(y: np.ndarray, x: np.ndarray, parameter: str

@@ -1,10 +1,11 @@
 """Parsers for the three observed-data sources and the per-state daily series.
 
-Three inputs feed the fit pipeline: patient-level raw case rows (date, state,
-transmission type), a per-state daily pivot (date, status, one column per
-state code), and per-day event-linked counts. Parsing never drops rows
-silently: every input row lands either in the result or in the rejects
-report.
+Three inputs feed the fit pipeline, and each parses to one per-date table:
+patient-level raw case rows (date, state, transmission type) to one state's
+imported count, a per-state daily pivot (date, status, one column per state
+code) to one state's statuses, and event-linked rows to their count. Parsing
+never drops rows silently: every input row is read into the table, skipped as
+another state's or a non-imported case, or rejected in the report.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ class IngestReport:
 
 
 @dataclass(frozen=True)
-class RawCaseRecord:
-    date_announced: dt.date
-    detected_state: str
-    type_of_transmission: str  # Local, Imported, or Unknown
-
-
-@dataclass(frozen=True)
 class ObservedSeries:
     """Aligned per-day counts for one state; dates are gap-free and ascending."""
 
@@ -58,19 +52,22 @@ class ObservedSeries:
     population_n: int
 
     def __post_init__(self):
+        if self.population_n <= 0:
+            raise ConfigError(f"population_n must be positive, got {self.population_n!r}")
         n = len(self.dates)
+        if not n:
+            raise ParameterError("an observed series needs at least one date")
         for name in ("daily_confirmed", "daily_recovered", "daily_deceased",
                      "daily_imported", "daily_event_linked"):
             series = getattr(self, name)
             if len(series) != n:
                 raise ParameterError(f"{name} has {len(series)} entries for {n} dates")
-            if any(c < 0 for c in series):
-                raise NegativeCountError(f"{name} contains a negative count")
+            for date, count in zip(self.dates, series):
+                if count < 0:
+                    raise NegativeCountError(f"negative {name} count {count} on {date}")
         for a, b in zip(self.dates, self.dates[1:]):
             if (b - a).days != 1:
                 raise ParameterError(f"dates must be gap-free and ascending: {a} -> {b}")
-        if self.population_n <= 0:
-            raise ConfigError(f"population_n must be positive, got {self.population_n!r}")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -133,36 +130,38 @@ def _header_map(fieldnames, required, where: str) -> dict[str, str]:
     return mapping
 
 
-def parse_raw_cases(stream) -> tuple[list[RawCaseRecord], IngestReport]:
-    """Patient-level rows with DateAnnounced, DetectedState, TypeOfTransmission.
+def parse_raw_cases(stream, state: str) -> tuple[dict[dt.date, int], IngestReport]:
+    """One state's imported cases per day, as {date: count}, from patient-level rows.
 
-    Transmission values other than Local/Imported map to Unknown. Rows with
-    unparseable dates go to the rejects report.
+    A row counts when its DetectedState is the state code or its STATE_NAMES
+    name and its TypeOfTransmission is Imported, both ignoring case. Every
+    row's date is read, whatever state it names: rows with an unparseable date
+    or an empty DetectedState go to the rejects report.
     """
+    state = state.lower()
+    names = (state, STATE_NAMES.get(state, state).lower())
     reader = csv.DictReader(stream)
     cols = _header_map(_fieldnames(reader, "raw cases"),
                        ("DateAnnounced", "DetectedState", "TypeOfTransmission"), "raw cases")
     report = IngestReport()
-    records = []
+    imported: dict[dt.date, int] = {}
     # raw-case dates repeat, one row per patient, so each distinct text is read once;
     # an unparseable one is not cached, and every row that carries it is rejected
     parse = functools.lru_cache(maxsize=None)(parse_date)
     for row_number, row in _numbered_rows(reader, "raw cases"):
-        raw_date = (row.get(cols["DateAnnounced"]) or "").strip()
-        state = (row.get(cols["DetectedState"]) or "").strip()
-        transmission = (row.get(cols["TypeOfTransmission"]) or "").strip().capitalize()
-        if transmission not in ("Local", "Imported"):
-            transmission = "Unknown"
         try:
-            date = parse(raw_date)
+            date = parse((row.get(cols["DateAnnounced"]) or "").strip())
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue
-        if not state:
+        detected = (row.get(cols["DetectedState"]) or "").strip().lower()
+        if not detected:
             report.reject(row_number, "empty DetectedState")
             continue
-        records.append(RawCaseRecord(date, state, transmission))
-    return records, report
+        transmission = (row.get(cols["TypeOfTransmission"]) or "").strip().capitalize()
+        if detected in names and transmission == "Imported":
+            imported[date] = imported.get(date, 0) + 1
+    return imported, report
 
 
 def parse_states_daily(stream, state: str
@@ -235,29 +234,17 @@ def _date_span(first: dt.date, last: dt.date) -> list[dt.date]:
     return [first + dt.timedelta(days=d) for d in range((last - first).days + 1)]
 
 
-def build_observed(raw_records: list[RawCaseRecord], daily: dict[dt.date, dict[str, int]],
+def build_observed(imported: dict[dt.date, int], daily: dict[dt.date, dict[str, int]],
                    events: dict[dt.date, int], state: str, population_n: int
                    ) -> tuple[ObservedSeries, IngestReport]:
-    """Assemble the aligned ObservedSeries for one state code from its daily table.
+    """Align one state's imported, daily and event tables into an ObservedSeries.
 
-    daily_imported counts the raw-case records of that state with type
-    Imported per day; the date axis is the union range of all three sources,
-    gap-filled with zeros (warned). An event count above the day's confirmed
-    count is kept and warned; a negative one raises NegativeCountError.
+    The date axis is the union range of the three tables, gap-filled with
+    zeros (warned). An event count above the day's confirmed count is kept
+    and warned. ObservedSeries checks the population and the counts.
     """
     state = state.lower()
-    if population_n <= 0:
-        raise ConfigError(f"population_n must be positive, got {population_n!r}")
     report = IngestReport()
-    state_name = STATE_NAMES.get(state, state).lower()
-    imported: dict[dt.date, int] = {}
-    for record in raw_records:
-        rec_state = record.detected_state.lower()
-        if rec_state not in (state, state_name):
-            continue
-        if record.type_of_transmission != "Imported":
-            continue
-        imported[record.date_announced] = imported.get(record.date_announced, 0) + 1
     all_dates = set(daily) | set(imported) | set(events)
     if not all_dates:
         raise SchemaError(f"no data rows for state {state!r}")
@@ -266,8 +253,6 @@ def build_observed(raw_records: list[RawCaseRecord], daily: dict[dt.date, dict[s
         if date not in daily:
             report.warn(f"{state}: no daily row for {date}, filled with 0")
     for date, count in events.items():
-        if count < 0:
-            raise NegativeCountError(f"negative event count {count} on {date}")
         confirmed = daily.get(date, {}).get("confirmed", 0)
         if count > confirmed:
             report.warn(f"{state}: event count {count} on {date} exceeds "

@@ -1,7 +1,6 @@
 """End-to-end command behavior: exit codes, artifacts, and determinism."""
 
 import contextlib
-import datetime as dt
 import hashlib
 import io
 import json
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exosir import cli, fitting
@@ -571,10 +570,8 @@ def test_fit_warns_once_per_clamped_rate(tmp_path, capsys, monkeypatch):
     scale = 2.0 ** -10
     i_e = np.arange(1, 7) * scale
     zeros = np.zeros(6)
-    crafted = NormalizedSeries(
-        state="kl", dates=tuple(dt.date(2020, 3, 1) + dt.timedelta(days=k) for k in range(6)),
-        di_e=np.full(6, -scale), di_x=np.full(6, scale), dr=zeros,
-        s=1.0 - i_e, i_e=i_e, i_x=zeros, r=zeros, population_n=1_000_000)
+    crafted = NormalizedSeries(di_e=np.full(6, -scale), di_x=np.full(6, scale), dr=zeros,
+                               s=1.0 - i_e, i_e=i_e, i_x=zeros, r=zeros)
     diagnostics = estimate_params(crafted).diagnostics
     assert [name for name, d in diagnostics.items() if d.clamped] == ["beta_e"]
     monkeypatch.setattr(cli, "normalize", lambda series: crafted)
@@ -828,6 +825,7 @@ _SEEDS = st.integers(-3, 2**130)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(flags=st.dictionaries(st.sampled_from(["--beta-x", "--beta-e", "--gamma"]),
                              _NUMBERS, min_size=1), seed=_SEEDS)
+@example(flags={"--beta-x": 0.5}, seed=-1)  # valid rates with a negative seed
 def test_network_numeric_flags_never_escape(tmp_path_factory, flags, seed):
     out = tmp_path_factory.mktemp("network")
     argv = ["network", "--reps", "1", "--n", "12", "--max-ticks", "20",

@@ -38,15 +38,11 @@ def _norm_series(i_e, i_x, r, di_e, di_x, dr_):
     i_x = np.asarray(i_x, dtype=float)
     r = np.asarray(r, dtype=float)
     s = 1.0 - i_e - i_x - r
-    n = len(i_e)
     return NormalizedSeries(
-        state="kl",
-        dates=tuple(START + dt.timedelta(days=k) for k in range(n)),
         di_e=np.asarray(di_e, dtype=float),
         di_x=np.asarray(di_x, dtype=float),
         dr=np.asarray(dr_, dtype=float),
         s=s, i_e=i_e, i_x=i_x, r=r,
-        population_n=1_000_000,
     )
 
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from exosir.errors import (ConfigError, DataError, DuplicateDateError, NegativeCountError,
                            ParameterError, SchemaError)
-from exosir.ingest import (ObservedSeries, RawCaseRecord, build_observed,
-                           load_populations, parse_date, parse_event_counts,
-                           parse_raw_cases, parse_states_daily)
+from exosir.ingest import (ObservedSeries, build_observed, load_populations, parse_date,
+                           parse_event_counts, parse_raw_cases, parse_states_daily)
 
 
 def _series(dates, confirmed, recovered=None, deceased=None, imported=None,
@@ -50,11 +49,12 @@ def test_parse_raw_cases_lossless():
         "2020-02-01,Kerala,community spread,x\n"
         "2020-02-02,,Imported,x\n"
         "not a date,Kerala,Imported,x\n"
+        "31/01/2020,Kerala, imported ,x\n"
     )
-    records, report = parse_raw_cases(io.StringIO(text))
-    assert len(records) + len(report.rejects) == 5
-    assert [r.type_of_transmission for r in records] == ["Imported", "Local", "Unknown"]
-    assert records[1].date_announced == dt.date(2020, 1, 31)
+    imported, report = parse_raw_cases(io.StringIO(text), "kl")
+    # the Local and the unknown-transmission rows count 0; every other row is
+    # counted or rejected
+    assert imported == {dt.date(2020, 1, 30): 1, dt.date(2020, 1, 31): 1}
     assert {row for row, _ in report.rejects} == {5, 6}
 
 
@@ -65,10 +65,10 @@ def test_repeated_bad_date_rejects_every_row():
             "2020-02-01,Kerala,Local\n"
             "2020-31-01,Kerala,Local\n"
             "2020-02-01,Kerala,Imported\n")
-    records, report = parse_raw_cases(io.StringIO(text))
+    imported, report = parse_raw_cases(io.StringIO(text), "kl")
     assert report.rejects == [(2, "unparseable date '2020-31-01'"),
                               (4, "unparseable date '2020-31-01'")]
-    assert [r.date_announced for r in records] == [dt.date(2020, 2, 1)] * 2
+    assert imported == {dt.date(2020, 2, 1): 1}
     daily = ("date,status,kl\n"
              "2020-02-30,Confirmed,1\n"
              "2020-02-30,Recovered,1\n"
@@ -80,9 +80,9 @@ def test_repeated_bad_date_rejects_every_row():
 
 def test_parse_raw_cases_missing_column():
     with pytest.raises(SchemaError, match="TypeOfTransmission"):
-        parse_raw_cases(io.StringIO("DateAnnounced,DetectedState\n2020-01-30,Kerala\n"))
+        parse_raw_cases(io.StringIO("DateAnnounced,DetectedState\n2020-01-30,Kerala\n"), "kl")
     with pytest.raises(SchemaError, match="empty"):
-        parse_raw_cases(io.StringIO(""))
+        parse_raw_cases(io.StringIO(""), "kl")
 
 
 def test_parse_states_daily_pivot():
@@ -167,7 +167,7 @@ def _daily(dates, confirmed):
 
 def test_merge_events_inside_range():
     dates = _days(dt.date(2020, 3, 1), 4)
-    series, report = build_observed([], _daily(dates, [5, 6, 7, 8]), {dates[2]: 3}, "kl", 1000)
+    series, report = build_observed({}, _daily(dates, [5, 6, 7, 8]), {dates[2]: 3}, "kl", 1000)
     assert series.daily_event_linked == (0, 0, 3, 0)
     assert series.dates == tuple(dates)
     assert not report.warnings
@@ -176,11 +176,9 @@ def test_merge_events_inside_range():
 def test_merge_events_extends_range():
     # event dates outside the daily rows extend the date axis with zeros
     dates = _days(dt.date(2020, 3, 1), 3)
-    raw = [RawCaseRecord(dates[0], "Kerala", "Imported"),
-           RawCaseRecord(dates[2], "Kerala", "Imported"),
-           RawCaseRecord(dates[2], "Kerala", "Imported")]
     after = dt.date(2020, 3, 6)
-    series, report = build_observed(raw, _daily(dates, [5, 6, 7]), {after: 4}, "kl", 1000)
+    series, report = build_observed({dates[0]: 1, dates[2]: 2}, _daily(dates, [5, 6, 7]),
+                                    {after: 4}, "kl", 1000)
     assert series.dates[-1] == after
     assert len(series) == 6
     assert series.daily_confirmed == (5, 6, 7, 0, 0, 0)
@@ -192,29 +190,37 @@ def test_merge_events_extends_range():
 
 
 def test_build_observed_rejects_negative_event_count():
+    # the series it builds checks its counts
     dates = _days(dt.date(2020, 3, 1), 2)
     with pytest.raises(NegativeCountError,
-                       match="^negative event count -2 on 2020-03-02$"):
-        build_observed([], _daily(dates, [5, 6]), {dates[1]: -2}, "kl", 1000)
+                       match="^negative daily_event_linked count -2 on 2020-03-02$"):
+        build_observed({}, _daily(dates, [5, 6]), {dates[1]: -2}, "kl", 1000)
 
 
 def test_build_observed_tallies_imported():
+    # state code and state name match ignoring case; other states' rows are
+    # skipped, but their dates are still read
+    rows = [("30/01/2020", "Kerala", "Imported"),
+            ("30/01/2020", "kerala", "imported"),
+            ("30/01/2020", "KL", "Imported"),
+            ("30/01/2020", "Kerala", "Local"),
+            ("30/01/2020", "Rajasthan", "Imported"),
+            ("01/02/2020", "Kerala", "Imported"),
+            ("31/02/2020", "Rajasthan", "Imported"),
+            ("30/01/2020", "", "Imported")]
+    text = "DateAnnounced,DetectedState,TypeOfTransmission\n" + "".join(
+        ",".join(row) + "\n" for row in rows)
+    imported, raw_report = parse_raw_cases(io.StringIO(text), "kl")
+    assert raw_report.rejects == [(8, "unparseable date '31/02/2020'"),
+                                  (9, "empty DetectedState")]
     d = dt.date(2020, 1, 30)
-    raw = [
-        RawCaseRecord(d, "Kerala", "Imported"),
-        RawCaseRecord(d, "kerala", "Imported"),
-        RawCaseRecord(d, "KL", "Imported"),
-        RawCaseRecord(d, "Kerala", "Local"),
-        RawCaseRecord(d, "Rajasthan", "Imported"),
-        RawCaseRecord(d + dt.timedelta(days=2), "Kerala", "Imported"),
-    ]
     daily = {d: {"confirmed": 4, "recovered": 0, "deceased": 0},
              d + dt.timedelta(days=2): {"confirmed": 2, "recovered": 1, "deceased": 0}}
-    series, report = build_observed(raw, daily, {}, "kl", 1000)
+    series, report = build_observed(imported, daily, {}, "kl", 1000)
     assert series.daily_imported == (3, 0, 1)
     assert sum(series.daily_imported) == sum(
-        1 for r in raw if r.type_of_transmission == "Imported"
-        and r.detected_state.lower() in ("kl", "kerala"))
+        1 for _, state, transmission in rows if transmission.capitalize() == "Imported"
+        and state.lower() in ("kl", "kerala"))
     assert series.daily_confirmed == (4, 0, 2)
     # the middle day had no daily row
     assert any("no daily row" in w for w in report.warnings)
@@ -222,21 +228,26 @@ def test_build_observed_tallies_imported():
 
 def test_build_observed_unknown_state():
     with pytest.raises(SchemaError, match="no data rows"):
-        build_observed([], {}, {}, "kl", 1000)
-    with pytest.raises(ConfigError):
-        build_observed([], {}, {}, "kl", 0)
+        build_observed({}, {}, {}, "kl", 1000)
+    # the series it builds checks the population
+    with pytest.raises(ConfigError, match="^population_n must be positive, got 0$"):
+        build_observed({}, _daily(_days(dt.date(2020, 3, 1), 1), [5]), {}, "kl", 0)
 
 
 def test_observed_series_validation():
     dates = _days(dt.date(2020, 2, 10), 3)
     with pytest.raises(ParameterError, match="entries"):
         _series(dates, [1, 2])
-    with pytest.raises(NegativeCountError):
+    with pytest.raises(NegativeCountError,
+                       match="^negative daily_confirmed count -2 on 2020-02-11$"):
         _series(dates, [1, -2, 3])
     with pytest.raises(ParameterError, match="gap-free"):
         _series([dates[0], dates[2], dates[2] + dt.timedelta(days=1)], [1, 2, 3])
     with pytest.raises(ConfigError):
         _series(dates, [1, 2, 3], pop=0)
+    # normalize would otherwise take the minimum of an empty array
+    with pytest.raises(ParameterError, match="^an observed series needs at least one date$"):
+        _series([], [])
 
 
 def test_load_populations(tmp_path):
@@ -275,12 +286,12 @@ def test_bom_input_parses(tmp_path):
     path.write_text("DateAnnounced,DetectedState,TypeOfTransmission\n"
                     "2020-01-30,Kerala,Imported\n", encoding="utf-8-sig")
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        records, report = parse_raw_cases(fh)
-    assert len(records) == 1 and not report.rejects
+        imported, report = parse_raw_cases(fh, "kl")
+    assert imported == {dt.date(2020, 1, 30): 1} and not report.rejects
 
 
 _PARSERS = {
-    "raw cases": parse_raw_cases,
+    "raw cases": lambda stream: parse_raw_cases(stream, "kl"),
     "states daily": lambda stream: parse_states_daily(stream, "kl"),
     "event counts": parse_event_counts,
 }

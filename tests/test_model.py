@@ -47,19 +47,6 @@ def test_exo_rhs_derivatives_sum_to_zero():
         assert sum(exo_sir_rhs(st, p)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_exo_rhs_nonfinite_state_rejected():
-    # the right-hand side takes only a state, and a non-finite one cannot be built
-    for values in ((float("nan"), 0.0, 0.0, 1.0), (float("inf"), 0.0, 0.0, 0.0)):
-        with pytest.raises(InvalidStateError):
-            exo_sir_rhs(state(*values), ModelParams(0.1, 0.1, 0.1))
-
-
-def test_sir_rhs_nonfinite_rejected():
-    # the SIR right-hand side is exo_sir_rhs at beta_x = 0, i_x = 0
-    with pytest.raises(InvalidStateError):
-        exo_sir_rhs(state(float("inf"), 0.0, 0.0, 0.0), ModelParams(0.0, 1.0, 0.5))
-
-
 def test_sir_rhs_values():
     # classical SIR is Exo-SIR with beta_x = 0 and i_x = 0; output order (ds, di_x, di, dr)
     def sir(s, i, r, beta, gamma):
@@ -89,10 +76,11 @@ def test_state_validation():
     ((float("nan"), 0.0, 0.0, 1.0), "s is not finite: nan"),
     ((0.0, 0.0, float("-inf"), 1.0), "i_x is not finite: -inf"),
     ((0.5, 0.5, 0.0, float("inf")), "r is not finite: inf"),
+    ((float("inf"), 0.0, 0.0, 0.0), "s is not finite: inf"),
     ((0.0, 0.0, 0.0, 1.0 + 1e-12), "r outside [0, 1]: 1.000000000001"),
     ((0.9, -1e-13, 0.1, 0.0), "i_e outside [0, 1]: -1e-13"),
     ((0.5, 0.25, 0.25, 2e-9), "compartments sum to 1.000000002, expected 1"),
-], ids=["nan", "neg-inf", "inf", "above-one", "below-zero", "sum"])
+], ids=["nan", "neg-inf", "inf", "s-inf", "above-one", "below-zero", "sum"])
 def test_state_is_checked_when_built(values, message):
     # the first compartment that fails names the error, and the sum is tested last; a
     # value out of [0, 1] by less than the conservation tolerance is still rejected
