@@ -56,12 +56,16 @@ RUNS = {
                        "--dt", "1", "--ie0", "1e-4", "--ix0", "1e-4", "--steps", "200"],
     # the step overflows to inf and NaN: exit 3, and the message of the step check
     "simulate-nonfinite": ["simulate", "--beta-e", "1e200", "--dt", "1", "--steps", "3"],
+    # a usage error: exit 1, and the usage text of cli._Parser.error
+    "simulate-bogus": ["simulate", "--bogus"],
     "network-grid": ["network", *_GRID, "--reps", "2"],
     "network-n600-m2": ["network", "--n", "600", "--m", "2", "--reps", "2"],
     "sweep-k15-seed25": ["sweep", "--k", "15", "--seed", "25"],
     "sweep-k15-seed26": ["sweep", "--k", "15", "--seed", "26"],
     "sweep-k12-dt0.5": ["sweep", "--k", "12", "--dt", "0.5"],
     "sweep-nonfinite": ["sweep", "--k", "3", "--dt", "1e200"],
+    # a run still rising after the last horizon doubling: exit 3, before the OLS
+    "sweep-horizon": ["sweep", "--k", "2", "--dt", "0.001"],
     "fit-tn-events": [*_FIT, "--state", "tn", "--events", os.path.join(DATA, "events_tn.csv")],
     "fit-kl": [*_FIT, "--state", "kl"],
     "fit-rj": [*_FIT, "--state", "rj"],

@@ -117,15 +117,16 @@ def test_network_summary_matches_golden_digest(tmp_path, case):
 
 
 # sha256 of samples.csv and regression.json for the benchmark's sweep command at
-# seeds 25 and 26, as written before the sweep's batch was stacked into one array and
-# its rate columns were formatted once per distinct value. samples.csv comes from IEEE
-# arithmetic and repr alone; regression.json also from the OLS, so, like GOLDEN_FIT, it
-# assumes numpy's float64 linear algebra rounds as on x86-64.
+# seeds 25 and 26. samples.csv is as written before the sweep's batch was stacked into
+# one array and its rate columns were formatted once per distinct value; it comes from
+# IEEE arithmetic and repr alone. regression.json is as written since the p-values and
+# the 95% intervals are computed without scipy; it also comes from the OLS, so, like
+# GOLDEN_FIT, it assumes numpy's float64 linear algebra rounds as on x86-64.
 GOLDEN_SWEEP = {
     25: ("57d1324d26590463bfb80a57793cdfbc0b692c82a4874044ed5751cc0cd463ca",
-         "b6ea15f7570c21d7b4e2e09d75c5280d14f98309a2a3e6fc527375b174239fa0"),
+         "87e19234637fc06c010d9ba3eecf690603f8d13430af3b2fa955dbeab1736fa9"),
     26: ("4cc350b25b2d4e95f3dab31c8392756e8c9040642de33056d511f247cfbe699b",
-         "dde210ee25141025aaaa4303f7519a7fd541e3eaa3b283b3ee8ae6d1f716f062"),
+         "f19c145141a79339d41954b2e153d1e1872c23304d8d6d8876364fd4eb139dfc"),
 }
 
 
@@ -781,14 +782,20 @@ def test_star_import_resolves_every_public_name():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(exosir.__all__)
 
 
-def test_cli_import_leaves_scipy_and_orjson_unloaded():
-    # only the sweep's OLS needs scipy and only CSV writing orjson, so a run that needs
-    # neither, and the import itself, do not pay for them
+def test_cli_import_leaves_scipy_and_orjson_unloaded(tmp_path):
+    # only CSV writing needs orjson, so a run that writes none, and the import itself,
+    # do not pay for it; nothing in exosir needs scipy, not even the sweep's OLS
     code = ("import sys, exosir.cli; exosir.cli.build_parser(); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    code = ("import sys; from exosir.cli import main; "
+            f"code = main(['sweep', '--k', '3', '--out', {str(tmp_path)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"  # after main's "wrote ..." lines
 
 
 _NUMBERS = st.one_of(st.floats(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 1e300]))

@@ -18,14 +18,66 @@ def _random_dataset(rng, n, noise=0.05):
 
 
 def test_t_helpers_match_scipy():
-    for t in (0.0, 0.5, 2.0, -3.1):
-        for df in (3, 10, 100, 26_996):
-            want = 2.0 * stats.t.sf(abs(t), df)
-            assert float(t_sf_two_sided(t, df)) == pytest.approx(want, rel=1e-10)
-    for alpha in (0.05, 0.01):
-        for df in (5, 30, 500):
+    for df in (1, 2, 3, 10, 100, 3371, 26_996):
+        for t in (0.0, 0.5, 1.96, 2.5, 9.23, 37.8, 53.3, 143.4):
+            want = 2.0 * stats.t.sf(t, df)
+            for signed in (t, -t):
+                got = float(t_sf_two_sided(signed, df))
+                if want >= 1e-300:
+                    assert got == pytest.approx(want, rel=5e-11), (signed, df)
+                else:
+                    assert got < 1e-300, (signed, df)
+        for alpha in (0.05, 0.01):
             want = stats.t.ppf(1.0 - alpha / 2.0, df)
-            assert t_critical(alpha, df) == pytest.approx(want, rel=1e-10)
+            assert t_critical(alpha, df) == pytest.approx(want, rel=5e-11), (alpha, df)
+
+
+# Reference values at 50 digits, from mpmath 1.3:
+#   import mpmath; mpmath.mp.dps = 50; half = mpmath.mpf(1) / 2
+#   def p(t, df):  # P(|T_df| >= |t|) = I_x(df/2, 1/2), x = df/(df + t^2)
+#       t, df = mpmath.mpf(t), mpmath.mpf(df)
+#       return mpmath.betainc(df / 2, half, 0, df / (df + t * t), regularized=True)
+#   def t_star(df):  # two-sided 95% critical value
+#       return mpmath.findroot(lambda t: p(t, df) - mpmath.mpf("0.05"), mpmath.mpf(2))
+# The t statistics are the beta_e and beta_x rows of regression.json for
+# `exosir sweep --k 15 --seed 25` (n = 3375, so df = 3371).
+SWEEP_P_VALUES = [(37.84787540534633, 1.5066632836684479468e-261),
+                  (9.232696795403955, 4.5394047881587461866e-20)]
+CRITICAL_95 = {5: 2.5705818356363155147, 30: 2.04227245630123831,
+               3371: 1.9606679622153679382, 26_996: 1.9600518633289963259}
+
+
+@pytest.mark.parametrize("t, want", SWEEP_P_VALUES)
+def test_t_tail_matches_mpmath_at_the_sweep_p_values(t, want):
+    assert float(t_sf_two_sided(t, 3371)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("df", sorted(CRITICAL_95))
+def test_t_critical_matches_mpmath(df):
+    assert t_critical(0.05, df) == pytest.approx(CRITICAL_95[df], rel=1e-14)
+
+
+def test_t_tail_edge_values():
+    assert float(t_sf_two_sided(np.inf, 5)) == float(t_sf_two_sided(-np.inf, 5)) == 0.0
+    assert float(t_sf_two_sided(0.0, 5)) == 1.0
+    assert np.isnan(t_sf_two_sided(np.nan, 5))
+    assert isinstance(t_sf_two_sided(1.0, 5), np.float64)
+    assert t_sf_two_sided(np.array([[1.0], [-2.0]]), 5).shape == (2, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: t_sf_two_sided(1.0, 0), lambda: t_sf_two_sided(1.0, -3),
+    lambda: t_sf_two_sided(1.0, 0.5), lambda: t_sf_two_sided(1.0, np.inf),
+    lambda: t_sf_two_sided(1.0, np.nan), lambda: t_critical(0.05, 0),
+    lambda: t_critical(0.05, np.inf), lambda: t_critical(0.0, 5),
+    lambda: t_critical(1.0, 5), lambda: t_critical(1.5, 5),
+    lambda: t_critical(-0.05, 5), lambda: t_critical(np.nan, 5),
+], ids=["sf-df0", "sf-df-3", "sf-df0.5", "sf-df-inf", "sf-df-nan", "crit-df0",
+        "crit-df-inf", "crit-alpha0", "crit-alpha1", "crit-alpha1.5", "crit-alpha-neg",
+        "crit-alpha-nan"])
+def test_t_helpers_reject_out_of_domain_inputs(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_fit_linear_matches_bruteforce_oracle():
