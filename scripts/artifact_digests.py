@@ -5,13 +5,17 @@ checkout this script lives in, with a fresh output directory. Its line holds
 the run's label, its exit code, and one sha256 over the artifacts (name and
 bytes, in name order), the stdout and the stderr. The output directory and the
 checkout's path are masked in stdout and stderr, so two checkouts of the same
-code print the same lines.
+code print the same lines. The fit runs of EDITED_FITS read copies of data/
+with a few lines edited, made in a temporary directory of their own (masked as
+well); data/ itself is only read.
 
 Run from anywhere: python3 scripts/artifact_digests.py
 Diff its output between two checkouts to see whether any output changed.
 
 tests/artifact_digests.txt holds the expected output, and
-tests/test_artifact_digests.py compares each line with it. When a change is
+tests/test_artifact_digests.py compares each line with it and checks that the
+runs together enter every function defined in src/exosir, but for a short list
+of library-only ones. When a change is
 meant to alter an artifact, regenerate the file with
 python3 scripts/artifact_digests.py > tests/artifact_digests.txt
 and list the old and new lines of every run that moved in CHANGES.md. The fit
@@ -24,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 
@@ -33,9 +38,16 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from exosir import cli  # noqa: E402
 
 DATA = os.path.join(ROOT, "data")
-_FIT = ["fit", "--raw", os.path.join(DATA, "raw_cases.csv"),
-        "--daily", os.path.join(DATA, "states_daily.csv"),
-        "--pop-config", os.path.join(DATA, "populations.json")]
+
+
+def _fit(data: str) -> list[str]:
+    """fit with its three inputs read from the directory data."""
+    return ["fit", "--raw", os.path.join(data, "raw_cases.csv"),
+            "--daily", os.path.join(data, "states_daily.csv"),
+            "--pop-config", os.path.join(data, "populations.json")]
+
+
+_FIT = _fit(DATA)
 _GRID = ["--beta-x", "0.1,0.5,0.9", "--beta-e", "0.1,0.5,0.9", "--gamma", "0.1,0.5,0.9"]
 RUNS = {
     "simulate-exo": ["simulate", "--beta-x", "0.002", "--beta-e", "0.35", "--ie0", "1e-4",
@@ -73,9 +85,39 @@ RUNS = {
     "fit-horizon-0": [*_FIT, "--state", "kl", "--horizon", "0"],
     "fit-horizon-3": [*_FIT, "--state", "rj", "--horizon", "3"],
 }
+# label: (state, {data file: [(pattern, replacement), ...]}), each pair applied with re.sub to
+# that file's copy, ^ and $ matching at each line: the fit warnings and error data/ never reaches
+EDITED_FITS = {
+    # no daily row on 2020-02-10: build_observed fills the day with zeros and warns
+    "fit-kl-no-day": ("kl", {"states_daily.csv": [(r"^2020-02-10,.*\n", "")]}),
+    # no Recovered row on 2020-02-10: parse_states_daily fills it with 0 and warns
+    "fit-kl-no-status": ("kl", {"states_daily.csv": [(r"^2020-02-10,Recovered,.*\n", "")]}),
+    # 7 event-linked cases against 6 confirmed on 2020-02-07: kept, and build_observed warns
+    "fit-tn-events-high": ("tn", {"events_tn.csv": [(r"^2020-02-07,1$", "2020-02-07,7")]}),
+    # no Kerala case in any input, so gamma's regressor is all zeros: exit 3
+    "fit-kl-no-cases": ("kl", {"states_daily.csv": [(r"^([^,]*,[^,]*),\d+,", r"\1,0,")],
+                               "raw_cases.csv": [(r"^.*,Kerala,.*\n", "")]}),
+}
 
 
-def digest(argv) -> tuple[int, str]:
+def edited_fit(copies: str, label: str, state: str, edits) -> list[str]:
+    """The fit argv of one EDITED_FITS entry, on a copy of data/ made in copies/label."""
+    data = os.path.join(copies, label)
+    os.mkdir(data)
+    for name in os.listdir(DATA):
+        with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        for pattern, replacement in edits.get(name, ()):
+            text, count = re.subn(pattern, replacement, text, flags=re.MULTILINE)
+            if not count:
+                raise ValueError(f"{label}: {pattern!r} matches no line of {name}")
+        with open(os.path.join(data, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    events = ["--events", os.path.join(data, "events_tn.csv")] if state == "tn" else []
+    return [*_fit(data), "--state", state, *events]
+
+
+def digest(argv, copies: str) -> tuple[int, str]:
     """(exit code, sha256 over artifacts, masked stdout and masked stderr) of one run."""
     with tempfile.TemporaryDirectory() as out:
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -86,14 +128,18 @@ def digest(argv) -> tuple[int, str]:
             with open(os.path.join(out, name), "rb") as fh:
                 sha.update(name.encode() + b"\0" + fh.read() + b"\0")
         for text in (stdout.getvalue(), stderr.getvalue()):
-            sha.update(text.replace(out, "<out>").replace(ROOT, "<root>").encode() + b"\0")
+            text = text.replace(out, "<out>").replace(copies, "<copies>").replace(ROOT, "<root>")
+            sha.update(text.encode() + b"\0")
     return code, sha.hexdigest()
 
 
 def main() -> int:
-    for label, argv in RUNS.items():
-        code, sha = digest(argv)
-        print(f"{label:<18} {code} {sha}")
+    with tempfile.TemporaryDirectory() as copies:
+        runs = {**RUNS, **{label: edited_fit(copies, label, *entry)
+                           for label, entry in EDITED_FITS.items()}}
+        for label, argv in runs.items():
+            code, sha = digest(argv, copies)
+            print(f"{label:<18} {code} {sha}")
     return 0
 
 

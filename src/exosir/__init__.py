@@ -14,13 +14,12 @@ from .errors import (ConfigError, DataError, DuplicateDateError, ExoSirError,
                      ScaleError, ScalingDomainError, SchemaError,
                      SingularDesignError, UnidentifiableParameterError)
 from .fitting import (FittedParams, NormalizedSeries, PeakComparison,
-                      counterfactual_runs, estimate_params, export_observed,
-                      fold_out_exogenous, normalize)
+                      counterfactual_runs, estimate_params, fold_out_exogenous,
+                      normalize)
 from .ingest import (IngestReport, ObservedSeries, build_observed,
                      load_populations, parse_event_counts, parse_raw_cases,
                      parse_states_daily)
-from .model import (CompartmentState, ModelParams, PeakStats, Trajectory,
-                    endogenous_boost_check, exo_sir_rhs, integrate, peak_of)
+from .model import CompartmentState, ModelParams, PeakStats, Trajectory, integrate, peak_of
 from .network import (CombinationSummary, ContactGraph, NodeStatus, SimOutcome,
                       generate_ba_graph, run_experiment, run_simulation, step)
 from .regression import RegressionReport, fit_linear, t_critical, t_sf_two_sided
@@ -37,8 +36,7 @@ __all__ = [
     "PeakStats", "RegressionReport", "ScaleError",
     "ScalingDomainError", "SchemaError", "SimOutcome", "SingularDesignError",
     "Trajectory", "UnidentifiableParameterError", "build_observed", "counterfactual_runs",
-    "endogenous_boost_check", "estimate_params", "exo_sir_rhs",
-    "export_observed", "fit_linear", "fit_ols",
+    "estimate_params", "fit_linear", "fit_ols",
     "fold_out_exogenous", "generate_ba_graph", "integrate",
     "load_populations", "normalize", "parse_event_counts", "parse_raw_cases",
     "parse_states_daily", "peak_of", "run_experiment", "run_simulation",

@@ -7,7 +7,6 @@ counterfactual_runs (paired runs with and without the exogenous channel).
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,47 +213,3 @@ def counterfactual_runs(fitted: FittedParams,
     comparison = PeakComparison(with_ix=with_peak, without_ix=without_peak,
                                 peak_value_ratio=ratio, peak_advance_days=advance)
     return with_traj, without_traj, comparison
-
-
-def export_observed(traj: Trajectory, population_n: int, state: str = "synthetic",
-                    start: dt.date = dt.date(2020, 1, 30),
-                    n_days: int | None = None) -> ObservedSeries:
-    """Turn a day-step trajectory into integer daily counts.
-
-    Day 0 carries the initial cumulative state; later days carry net
-    increments of the scaled compartments. The series is clipped to the
-    rising prefix of both infection channels (through the earlier of the two
-    peaks) so that increments stay nonnegative; pass n_days to override.
-    """
-    if traj.dt != 1.0:
-        raise ParameterError(f"daily export needs dt=1 day, got dt={traj.dt!r}")
-    if n_days is None:
-        cuts = [int(np.argmax(arr)) for arr in (traj.i_e, traj.i_x)
-                if float(arr.max()) > float(arr[0])]
-        n_days = min(cuts) if cuts else len(traj) - 1
-    if n_days < 1:
-        raise ParameterError("trajectory has no rising prefix to export")
-    n = int(population_n)
-
-    def increments(fractions: np.ndarray) -> np.ndarray:
-        scaled = np.rint(fractions[:n_days + 1] * n).astype(np.int64)
-        out = np.diff(scaled, prepend=0)
-        out[0] = scaled[0]
-        if out.min() < 0:
-            raise ParameterError("negative daily increment; clip to a rising prefix")
-        return out
-
-    confirmed = increments(traj.i_e)
-    imported = increments(traj.i_x)
-    recovered = increments(traj.r)
-    zeros = tuple(0 for _ in range(n_days + 1))
-    return ObservedSeries(
-        state=state,
-        dates=tuple(start + dt.timedelta(days=d) for d in range(n_days + 1)),
-        daily_confirmed=tuple(int(v) for v in confirmed),
-        daily_recovered=tuple(int(v) for v in recovered),
-        daily_deceased=zeros,
-        daily_imported=tuple(int(v) for v in imported),
-        daily_event_linked=zeros,
-        population_n=n,
-    )

@@ -69,9 +69,6 @@ class ObservedSeries:
             if (b - a).days != 1:
                 raise ParameterError(f"dates must be gap-free and ascending: {a} -> {b}")
 
-    def __len__(self) -> int:
-        return len(self.dates)
-
 
 def parse_date(text: str) -> dt.date:
     """ISO-8601 first, then the DEFAULT_DATE_FALLBACKS formats."""

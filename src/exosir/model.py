@@ -1,4 +1,4 @@
-"""The Exo-SIR right-hand side, a fixed-step RK4 integrator, and peak statistics.
+"""The Exo-SIR model: its fixed-step RK4 integrator, the step checks, and peak statistics.
 
 The Exo-SIR model splits the infected compartment by origin: i_e grows through
 contact with infected people (rate beta_e), i_x grows straight from the
@@ -97,20 +97,6 @@ class Trajectory:
         )
 
 
-def exo_sir_rhs(state: CompartmentState, params: ModelParams) -> tuple[float, float, float, float]:
-    """Exo-SIR derivatives (ds, di_x, di_e, dr) at the given state.
-
-    ds = -beta_x*s - beta_e*s*i, di_x = beta_x*s - gamma*i_x,
-    di_e = beta_e*s*i - gamma*i_e, dr = gamma*i, with i = i_e + i_x.
-    The four derivatives sum to zero.
-    """
-    s, i_e, i_x, r = state.s, state.i_e, state.i_x, state.r
-    beta_x, beta_e, gamma = params.beta_x, params.beta_e, params.gamma
-    i = i_e + i_x
-    endo = beta_e * s * i
-    return (-beta_x * s - endo, beta_x * s - gamma * i_x, endo - gamma * i_e, gamma * i)
-
-
 def check_step_size(dt: float) -> None:
     """Raise ParameterError unless dt is a finite positive step (NaN fails too)."""
     if not (math.isfinite(dt) and dt > 0):
@@ -159,8 +145,10 @@ def _float_steps(rates, s, ie, ix, r, dt: float, tick: int):
     """Yield each checked RK4 step of one run on Python floats, from step tick + 1 on.
 
     rates is (beta_x, beta_e, gamma). The four stages of the Exo-SIR right-hand
-    side are written out: each performs the float operations of exo_sir_rhs, and
-    the step those of classical RK4, in the order _BatchRK4 performs them per run.
+    side are written out (ds = -beta_x*s - beta_e*s*i, di_x = beta_x*s - gamma*i_x,
+    di_e = beta_e*s*i - gamma*i_e, dr = gamma*i, with i = i_e + i_x), and the step
+    performs the float operations of classical RK4, in the order _BatchRK4 performs
+    them per run.
     The right-hand side does not read r, so no stage moves it. A step that fails
     the inline test goes to _check_batch as a one-run batch, to be clamped or rejected.
     """
@@ -335,14 +323,3 @@ def peak_of(traj: Trajectory, compartment: str = "i_e") -> PeakStats:
     tick = int(np.argmax(series))
     return PeakStats(peak_value=float(series[tick]), peak_tick=tick,
                      peak_time=tick * traj.dt)
-
-
-def endogenous_boost_check(state: CompartmentState, params: ModelParams) -> bool:
-    """True iff di_e/dt with the given i_x strictly exceeds di_e/dt at i_x = 0.
-
-    di_e/dt = beta_e*s*(i_e + i_x) - gamma*i_e is linear in i_x with slope
-    beta_e*s, so the strict inequality holds exactly when i_x > 0 and
-    beta_e*s > 0. Evaluating the boolean this way avoids subtracting two
-    nearly equal floats when i_x is tiny.
-    """
-    return state.i_x > 0.0 and params.beta_e * state.s > 0.0

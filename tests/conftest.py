@@ -1,5 +1,6 @@
-"""Shared test helpers: an OLS oracle, a classical SIR integrator and the reference
-Exo-SIR RK4 step, all independent of the library under test."""
+"""Shared test helpers: an OLS oracle, a classical SIR integrator, the reference
+Exo-SIR right-hand side and RK4 step, and the rate-level boost inequality, all
+independent of the library under test."""
 
 import math
 
@@ -91,6 +92,23 @@ def exo_sir_f(beta_x, beta_e, gamma):
         endo = beta_e * s * i
         return (neg_beta_x * s - endo, beta_x * s - gamma * ix, endo - gamma * ie, gamma * i)
     return f
+
+
+def exo_sir_rhs(state, params):
+    """exo_sir_f's derivatives (ds, di_x, di_e, dr) at a CompartmentState, for ModelParams."""
+    f = exo_sir_f(params.beta_x, params.beta_e, params.gamma)
+    return f(state.s, state.i_e, state.i_x, state.r)
+
+
+def endogenous_boost_check(state, params) -> bool:
+    """True iff di_e/dt with the given i_x strictly exceeds di_e/dt at i_x = 0.
+
+    di_e/dt = beta_e*s*(i_e + i_x) - gamma*i_e is linear in i_x with slope
+    beta_e*s, so the strict inequality holds exactly when i_x > 0 and
+    beta_e*s > 0. Evaluating the boolean this way avoids subtracting two
+    nearly equal floats when i_x is tiny.
+    """
+    return state.i_x > 0.0 and params.beta_e * state.s > 0.0
 
 
 def rk4_step(f, s, ie, ix, r, dt):

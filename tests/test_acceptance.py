@@ -27,11 +27,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ols_oracle, sir_rk4
+from conftest import endogenous_boost_check, exo_sir_rhs, ols_oracle, sir_rk4
 from exosir.cli import main
 from exosir.fitting import FittedParams, counterfactual_runs
-from exosir.model import (CompartmentState, ModelParams,
-                          endogenous_boost_check, exo_sir_rhs, integrate)
+from exosir.model import CompartmentState, ModelParams, integrate
 from exosir.network import run_experiment
 from exosir.regression import fit_linear
 from exosir.sweep import fit_ols, run_sweep, sample_grid, scale_log_peaks
@@ -253,7 +252,8 @@ def test_criterion_07_ols_oracle():
 
 
 def test_criterion_08_closed_loop_fitting():
-    from exosir.fitting import estimate_params, export_observed, normalize
+    from exosir.fitting import estimate_params, normalize
+    from test_fitting import export_observed
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):

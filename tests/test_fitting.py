@@ -1,7 +1,9 @@
-"""Normalization, rate estimation, counterfactual pairing, and daily export."""
+"""Normalization, rate estimation, counterfactual pairing, and the sample data's daily export."""
 
 import datetime as dt
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,16 @@ from exosir import fitting
 from exosir.errors import (HorizonError, IntegrationError, ParameterError, ScaleError,
                            UnidentifiableParameterError)
 from exosir.fitting import (FittedParams, NormalizedSeries, counterfactual_runs,
-                            estimate_params, export_observed, fold_out_exogenous,
-                            normalize)
+                            estimate_params, fold_out_exogenous, normalize)
 from exosir.ingest import ObservedSeries
 from exosir.model import CompartmentState, ModelParams, integrate
 
 START = dt.date(2020, 1, 30)
+_SPEC = importlib.util.spec_from_file_location(
+    "make_sample_data", Path(__file__).resolve().parent.parent / "scripts" / "make_sample_data.py")
+_SAMPLE_DATA = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_SAMPLE_DATA)
+export_observed = _SAMPLE_DATA.export_observed
 
 
 def _observed(confirmed, recovered=None, deceased=None, imported=None,
@@ -359,7 +365,7 @@ def test_export_cumulative_sums_match_rounded_trajectory():
     initial = CompartmentState(s=0.999996, i_e=1e-6, i_x=3e-6, r=0.0)
     traj = integrate(initial, params, 1.0, 400)
     series = export_observed(traj, 1_000_000)
-    n_days = len(series) - 1
+    n_days = len(series.dates) - 1
     for counts, fractions in ((series.daily_confirmed, traj.i_e),
                               (series.daily_imported, traj.i_x),
                               (series.daily_recovered, traj.r)):
@@ -374,7 +380,7 @@ def test_export_cuts_at_earliest_channel_peak():
     traj = integrate(initial, params, 1.0, 500)
     series = export_observed(traj, 1_000_000)
     expected = min(int(np.argmax(traj.i_e)), int(np.argmax(traj.i_x)))
-    assert len(series) == expected + 1
+    assert len(series.dates) == expected + 1
 
 
 def test_export_flat_trajectory():
@@ -382,7 +388,7 @@ def test_export_flat_trajectory():
     initial = CompartmentState(s=0.99, i_e=0.01, i_x=0.0, r=0.0)
     traj = integrate(initial, params, 1.0, 10)
     series = export_observed(traj, 1000)
-    assert len(series) == 11
+    assert len(series.dates) == 11
     assert series.daily_confirmed == (10,) + (0,) * 10
     with pytest.raises(ParameterError, match="rising prefix"):
         export_observed(traj, 1000, n_days=0)

@@ -180,7 +180,7 @@ def test_merge_events_extends_range():
     series, report = build_observed({dates[0]: 1, dates[2]: 2}, _daily(dates, [5, 6, 7]),
                                     {after: 4}, "kl", 1000)
     assert series.dates[-1] == after
-    assert len(series) == 6
+    assert len(series.dates) == 6
     assert series.daily_confirmed == (5, 6, 7, 0, 0, 0)
     assert series.daily_imported == (1, 0, 2, 0, 0, 0)
     assert series.daily_event_linked == (0, 0, 0, 0, 0, 4)

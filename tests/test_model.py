@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import exo_sir_f, rk4_step, sir_rk4
+from conftest import endogenous_boost_check, exo_sir_f, exo_sir_rhs, rk4_step, sir_rk4
 from exosir.errors import IntegrationError, InvalidStateError, ParameterError
 from exosir import model
 from exosir.model import (CONSERVATION_TOL, UNDERSHOOT_TOL, CompartmentState, ModelParams,
-                          Trajectory, _BatchRK4, _check_batch, _float_steps,
-                          endogenous_boost_check, exo_sir_rhs, integrate, peak_of)
+                          Trajectory, _BatchRK4, _check_batch, _float_steps, integrate,
+                          peak_of)
 from exosir.sweep import SWEEP_INITIAL
 
 
