@@ -78,6 +78,8 @@ RUNS = {
     "sweep-nonfinite": ["sweep", "--k", "3", "--dt", "1e200"],
     # a run still rising after the last horizon doubling: exit 3, before the OLS
     "sweep-horizon": ["sweep", "--k", "2", "--dt", "0.001"],
+    # the batch fails at the last horizon, so run_sweep reruns the tail run by run: exit 3
+    "sweep-tail-fails": ["sweep", "--k", "2", "--dt", "20"],
     "fit-tn-events": [*_FIT, "--state", "tn", "--events", os.path.join(DATA, "events_tn.csv")],
     "fit-kl": [*_FIT, "--state", "kl"],
     "fit-rj": [*_FIT, "--state", "rj"],
@@ -85,8 +87,11 @@ RUNS = {
     "fit-horizon-0": [*_FIT, "--state", "kl", "--horizon", "0"],
     "fit-horizon-3": [*_FIT, "--state", "rj", "--horizon", "3"],
 }
+# a field one character over the csv module's default limit, which it cannot read
+_LONG_FIELD = "x" * 131_073
 # label: (state, {data file: [(pattern, replacement), ...]}), each pair applied with re.sub to
-# that file's copy, ^ and $ matching at each line: the fit warnings and error data/ never reaches
+# that file's copy, ^ and $ matching at each line: the warnings, rejects and errors of fit that
+# data/ never reaches
 EDITED_FITS = {
     # no daily row on 2020-02-10: build_observed fills the day with zeros and warns
     "fit-kl-no-day": ("kl", {"states_daily.csv": [(r"^2020-02-10,.*\n", "")]}),
@@ -97,6 +102,41 @@ EDITED_FITS = {
     # no Kerala case in any input, so gamma's regressor is all zeros: exit 3
     "fit-kl-no-cases": ("kl", {"states_daily.csv": [(r"^([^,]*,[^,]*),\d+,", r"\1,0,")],
                                "raw_cases.csv": [(r"^.*,Kerala,.*\n", "")]}),
+    # after a blank line, which numbers no row: a short row read as an other-transmission case,
+    # then a shorter one and one with an empty DetectedState, both rejected
+    "fit-kl-raw-rows": ("kl", {"raw_cases.csv": [(r"^21/02/2020,Kerala,Imported\n",
+                                                 "\\g<0>\n22/02/2020,Kerala\n23/02/2020\n"
+                                                 "24/02/2020,,Imported\n")]}),
+    # four rejected rows (a bad date, then on a date the file lacks an unknown status, a bad
+    # count and a negative one), and a short Deceased row, read as 0
+    "fit-kl-daily-rows": ("kl", {"states_daily.csv": [
+        (r"^2020-02-10,Deceased,0,0,0\n",
+         "2020-02-30,Confirmed,1,1,1\n2020-03-25,Active,1,1,1\n2020-03-25,Confirmed,x,1,1\n"
+         "2020-03-25,Recovered,-3,1,1\n2020-02-10,Deceased\n")]}),
+    # after a blank line, an event row with a bad date and a short one: both rejected
+    "fit-tn-event-rows": ("tn", {"events_tn.csv": [(r"^2020-02-08,1\n",
+                                                   "\\g<0>\n2020-02-30,1\n2020-02-12\n")]}),
+    # an empty event file is no events
+    "fit-tn-empty-event": ("tn", {"events_tn.csv": [(r"(?s).+", "")]}),
+    # a negative event count: exit 2
+    "fit-tn-neg-event": ("tn", {"events_tn.csv": [(r"^2020-02-09,1$", "2020-02-09,-1")]}),
+    # a second Confirmed row on 2020-02-10: exit 2
+    "fit-kl-dup-date": ("kl", {"states_daily.csv": [(r"^2020-02-10,Confirmed,.*\n",
+                                                    "\\g<0>\\g<0>")]}),
+    # no TypeOfTransmission column: exit 2
+    "fit-kl-no-column": ("kl", {"raw_cases.csv": [(r"^DateAnnounced,DetectedState,\w+$",
+                                                  "DateAnnounced,DetectedState,Transmission")]}),
+    # kl's column twice, differing in case: exit 2
+    "fit-kl-dup-column": ("kl", {"states_daily.csv": [(r"^date,status,kl,rj,tn$",
+                                                      "date,status,kl,rj,tn,KL")]}),
+    # an empty daily file: exit 2
+    "fit-kl-empty-daily": ("kl", {"states_daily.csv": [(r"(?s).+", "")]}),
+    # after a blank line, a daily row the csv module cannot read: exit 2, naming the row
+    "fit-kl-long-field": ("kl", {"states_daily.csv": [(r"^2020-02-10,Deceased,0,0,0\n",
+                                                      f"\\g<0>\n2020-02-10,{_LONG_FIELD}\n")]}),
+    # an event header the csv module cannot read: exit 2, naming row 1
+    "fit-tn-long-header": ("tn", {"events_tn.csv": [(r"^date,count$",
+                                                    f"date,count,{_LONG_FIELD}")]}),
 }
 
 
