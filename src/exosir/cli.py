@@ -95,7 +95,7 @@ def cmd_sweep(args) -> int:
     _write(os.path.join(out, "samples.csv"),
            csv_columns_text(("beta_x", "beta_e", "gamma", "ie_peak_value", "ie_peak_tick",
                              "log_peak_scaled"), (*triples.T, peak, tick, scaled)))
-    _write(os.path.join(out, "regression.json"), json_text(report.to_json_dict()))
+    _write(os.path.join(out, "regression.json"), json_text(dataclasses.asdict(report)))
     return 0
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .errors import (ConfigError, DuplicateDateError, NegativeCountError,
                      ParameterError, SchemaError)
 
-DEFAULT_DATE_FALLBACKS = ("%d/%m/%Y",)
 STATE_NAMES = {"kl": "Kerala", "rj": "Rajasthan", "tn": "Tamil Nadu"}
 STATUSES = ("confirmed", "recovered", "deceased")
 
@@ -71,60 +70,52 @@ class ObservedSeries:
 
 
 def parse_date(text: str) -> dt.date:
-    """ISO-8601 first, then the DEFAULT_DATE_FALLBACKS formats."""
+    """ISO-8601 first, then day/month/year."""
     text = text.strip()
     try:
         return dt.date.fromisoformat(text)
     except ValueError:
         pass
-    for fmt in DEFAULT_DATE_FALLBACKS:
-        try:
-            return dt.datetime.strptime(text, fmt).date()
-        except ValueError:
-            continue
-    raise ValueError(f"unparseable date {text!r}")
-
-
-def _fieldnames(reader: csv.DictReader, where: str):
-    """The header row; one the csv module cannot read is a schema error."""
     try:
-        return reader.fieldnames
-    except csv.Error as exc:
-        raise SchemaError(f"{where} row 1: {exc}") from None
+        return dt.datetime.strptime(text, "%d/%m/%Y").date()
+    except ValueError:
+        raise ValueError(f"unparseable date {text!r}") from None
 
 
-def _numbered_rows(reader: csv.DictReader, where: str):
-    """(row number, row) per data row, the header being row 1.
+def _rows(stream, where: str, required: tuple[str, ...], empty_ok: bool = False):
+    """(row number, [field of each required column]) per data row, the header being row 1.
 
-    A row the csv module cannot read (a bare carriage return in an unquoted
-    field, an oversized field) is a schema error naming the row.
+    Required columns are matched ignoring case and surrounding spaces, and extra
+    columns are ignored; a required name no header column or more than one
+    matches is a schema error, since no column can be preferred. An empty input
+    has no header row, a schema error unless empty_ok. Blank lines number no
+    row, and a short row reads its missing fields as "". A row the csv module
+    cannot read (an oversized field, a bare carriage return in an unquoted
+    field) is a schema error naming the row.
     """
-    row_number = 1
+    reader = csv.reader(stream)
+    row_number = 0
     try:
-        for row_number, row in enumerate(reader, start=2):
-            yield row_number, row
+        header = next(reader, None)
+        row_number = 1
+        if not header:
+            if empty_ok:
+                return
+            raise SchemaError(f"{where}: empty input, no header row")
+        columns = []
+        for want in required:
+            found = [i for i, name in enumerate(header) if name.strip().lower() == want.lower()]
+            if not found:
+                raise SchemaError(f"{where}: missing required column {want!r}")
+            if len(found) > 1:
+                raise SchemaError(f"{where}: column {want!r} appears more than once")
+            columns.append(found[0])
+        for row in reader:
+            if row:
+                row_number += 1
+                yield row_number, [row[i] if i < len(row) else "" for i in columns]
     except csv.Error as exc:
         raise SchemaError(f"{where} row {row_number + 1}: {exc}") from None
-
-
-def _header_map(fieldnames, required, where: str) -> dict[str, str]:
-    """Case-insensitive lookup of required column names; extras are ignored.
-
-    A required name that more than one header column matches is a schema
-    error, since no column can be preferred.
-    """
-    if not fieldnames:
-        raise SchemaError(f"{where}: empty input, no header row")
-    mapping = {}
-    for want in required:
-        names = [name for name in fieldnames
-                 if name is not None and name.strip().lower() == want.lower()]
-        if not names:
-            raise SchemaError(f"{where}: missing required column {want!r}")
-        if len(names) > 1:
-            raise SchemaError(f"{where}: column {want!r} appears more than once")
-        mapping[want] = names[0]
-    return mapping
 
 
 def parse_raw_cases(stream, state: str) -> tuple[dict[dt.date, int], IngestReport]:
@@ -137,26 +128,23 @@ def parse_raw_cases(stream, state: str) -> tuple[dict[dt.date, int], IngestRepor
     """
     state = state.lower()
     names = (state, STATE_NAMES.get(state, state).lower())
-    reader = csv.DictReader(stream)
-    cols = _header_map(_fieldnames(reader, "raw cases"),
-                       ("DateAnnounced", "DetectedState", "TypeOfTransmission"), "raw cases")
     report = IngestReport()
     imported: dict[dt.date, int] = {}
     # raw-case dates repeat, one row per patient, so each distinct text is read once;
     # an unparseable one is not cached, and every row that carries it is rejected
     parse = functools.lru_cache(maxsize=None)(parse_date)
-    for row_number, row in _numbered_rows(reader, "raw cases"):
+    for row_number, (date, detected, transmission) in _rows(
+            stream, "raw cases", ("DateAnnounced", "DetectedState", "TypeOfTransmission")):
         try:
-            date = parse((row.get(cols["DateAnnounced"]) or "").strip())
+            date = parse(date.strip())
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue
-        detected = (row.get(cols["DetectedState"]) or "").strip().lower()
+        detected = detected.strip().lower()
         if not detected:
             report.reject(row_number, "empty DetectedState")
             continue
-        transmission = (row.get(cols["TypeOfTransmission"]) or "").strip().capitalize()
-        if detected in names and transmission == "Imported":
+        if detected in names and transmission.strip().capitalize() == "Imported":
             imported[date] = imported.get(date, 0) + 1
     return imported, report
 
@@ -171,15 +159,13 @@ def parse_states_daily(stream, state: str
     extra columns, and are ignored.
     """
     state = state.lower()
-    reader = csv.DictReader(stream)
-    cols = _header_map(_fieldnames(reader, "states daily"), ("date", "status", state),
-                       "states daily")
     report = IngestReport()
     table: dict[dt.date, dict[str, int]] = {}
-    for row_number, row in _numbered_rows(reader, "states daily"):
-        status = (row.get(cols["status"]) or "").strip().lower()
+    for row_number, (date, status, count) in _rows(stream, "states daily",
+                                                   ("date", "status", state)):
+        status = status.strip().lower()
         try:
-            date = parse_date(row.get(cols["date"]) or "")
+            date = parse_date(date)
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue
@@ -189,7 +175,7 @@ def parse_states_daily(stream, state: str
         if status in table.get(date, ()):
             raise DuplicateDateError(f"duplicate rows for date {date}, status {status!r}")
         try:
-            count = int((row.get(cols[state]) or "0").strip() or "0")
+            count = int(count.strip() or "0")
         except ValueError as exc:
             report.reject(row_number, f"bad count: {exc}")
             continue
@@ -207,17 +193,13 @@ def parse_states_daily(stream, state: str
 
 def parse_event_counts(stream) -> tuple[dict[dt.date, int], IngestReport]:
     """Per-day event-linked counts from a date,count file; empty input is valid."""
-    reader = csv.DictReader(stream)
     report = IngestReport()
-    fieldnames = _fieldnames(reader, "event counts")
-    if not fieldnames:
-        return {}, report
-    cols = _header_map(fieldnames, ("date", "count"), "event counts")
     events: dict[dt.date, int] = {}
-    for row_number, row in _numbered_rows(reader, "event counts"):
+    for row_number, (date, count) in _rows(stream, "event counts", ("date", "count"),
+                                           empty_ok=True):
         try:
-            date = parse_date(row.get(cols["date"]) or "")
-            count = int((row.get(cols["count"]) or "").strip())
+            date = parse_date(date)
+            count = int(count.strip())
         except ValueError as exc:
             report.reject(row_number, str(exc))
             continue
@@ -225,10 +207,6 @@ def parse_event_counts(stream) -> tuple[dict[dt.date, int], IngestReport]:
             raise NegativeCountError(f"negative event count {count} on {date}")
         events[date] = events.get(date, 0) + count
     return events, report
-
-
-def _date_span(first: dt.date, last: dt.date) -> list[dt.date]:
-    return [first + dt.timedelta(days=d) for d in range((last - first).days + 1)]
 
 
 def build_observed(imported: dict[dt.date, int], daily: dict[dt.date, dict[str, int]],
@@ -245,7 +223,8 @@ def build_observed(imported: dict[dt.date, int], daily: dict[dt.date, dict[str, 
     all_dates = set(daily) | set(imported) | set(events)
     if not all_dates:
         raise SchemaError(f"no data rows for state {state!r}")
-    dates = _date_span(min(all_dates), max(all_dates))
+    first = min(all_dates)
+    dates = [first + dt.timedelta(days=d) for d in range((max(all_dates) - first).days + 1)]
     for date in dates:
         if date not in daily:
             report.warn(f"{state}: no daily row for {date}, filled with 0")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .errors import ParameterError, SingularDesignError
 class RegressionReport:
     """OLS estimates keyed by covariate name ('intercept' first)."""
 
-    names: tuple[str, ...]
     coefficients: dict[str, float]
     std_errors: dict[str, float]
     t_stats: dict[str, float]
@@ -23,12 +22,6 @@ class RegressionReport:
     ci_95: dict[str, tuple[float, float]]
     adj_r_squared: float
     n: int
-
-    def to_json_dict(self) -> dict:
-        """Every field but names, which the coefficients' keys already give in order."""
-        data = asdict(self)
-        del data["names"]
-        return data
 
 
 # DiDonato & Morris's tolerance for the continued fraction. The caps only bound the
@@ -225,7 +218,6 @@ def fit_linear(y: np.ndarray, covariates: dict[str, np.ndarray]) -> RegressionRe
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
     return RegressionReport(
-        names=names,
         coefficients={k: float(b) for k, b in zip(names, beta)},
         std_errors={k: float(v) for k, v in zip(names, se)},
         t_stats={k: float(v) for k, v in zip(names, t)},

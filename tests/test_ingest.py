@@ -326,6 +326,33 @@ def test_required_column_twice_is_a_schema_error(name):
         _PARSERS[name](io.StringIO(text))
 
 
+# per parser: text with a blank line between data rows, then a short row; the table it
+# parses to and its rejects. The blank line numbers no row, and the short row's missing
+# fields read as "": a raw row without TypeOfTransmission is neither counted nor rejected,
+# a daily row without a count stores 0 and an event row without one is rejected.
+_BLANK_AND_SHORT = {
+    "raw cases": ("DateAnnounced,DetectedState,TypeOfTransmission\n"
+                  "2020-03-01,Kerala,Imported\n\n2020-03-01,Kerala\nnot a date,Kerala,Imported\n",
+                  {dt.date(2020, 3, 1): 1}, [(4, "unparseable date 'not a date'")]),
+    "states daily": ("date,status,kl\n2020-03-01,confirmed,5\n\n2020-03-01,recovered\n"
+                     "2020-03-01,deceased,x\n",
+                     {dt.date(2020, 3, 1): {"confirmed": 5, "recovered": 0, "deceased": 0}},
+                     [(4, "bad count: invalid literal for int() with base 10: 'x'")]),
+    "event counts": ("date,count\n2020-03-01,4\n\n2020-03-02\n2020-03-03,x\n",
+                     {dt.date(2020, 3, 1): 4},
+                     [(3, "invalid literal for int() with base 10: ''"),
+                      (4, "invalid literal for int() with base 10: 'x'")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLANK_AND_SHORT))
+def test_blank_lines_number_no_row_and_short_rows_read_empty(name):
+    text, table, rejects = _BLANK_AND_SHORT[name]
+    got, report = _PARSERS[name](io.StringIO(text))
+    assert got == table
+    assert report.rejects == rejects
+
+
 # the last entry is a well-formed header that none of the parsers expects
 _HEADERS = ("", "DateAnnounced,DetectedState,TypeOfTransmission\n", "date,status,kl\n",
             "date,count\n",

@@ -1,5 +1,7 @@
 """OLS internals checked against scipy.stats and a brute-force solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -100,7 +102,7 @@ def test_fit_linear_scale_invariance():
     y, covs = _random_dataset(rng, 50)
     base = fit_linear(y, covs)
     scaled = fit_linear(3.7 * y, covs)
-    for name in base.names:
+    for name in base.coefficients:
         assert scaled.coefficients[name] == pytest.approx(3.7 * base.coefficients[name], rel=1e-10)
         assert scaled.t_stats[name] == pytest.approx(base.t_stats[name], rel=1e-10)
         assert scaled.p_values[name] == pytest.approx(base.p_values[name], abs=1e-10)
@@ -125,9 +127,10 @@ def test_fit_linear_needs_enough_rows():
 def test_report_json_schema():
     rng = np.random.default_rng(34)
     y, covs = _random_dataset(rng, 40)
-    data = fit_linear(y, covs).to_json_dict()
+    data = dataclasses.asdict(fit_linear(y, covs))
     assert sorted(data) == ["adj_r_squared", "ci_95", "coefficients", "n",
                             "p_values", "std_errors", "t_stats"]
+    assert list(data["coefficients"]) == ["intercept", "x1", "x2", "x3"]
     assert data["n"] == 40
     for name, (low, high) in data["ci_95"].items():
         assert low <= data["coefficients"][name] <= high
