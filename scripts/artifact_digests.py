@@ -78,7 +78,8 @@ RUNS = {
     "sweep-nonfinite": ["sweep", "--k", "3", "--dt", "1e200"],
     # a run still rising after the last horizon doubling: exit 3, before the OLS
     "sweep-horizon": ["sweep", "--k", "2", "--dt", "0.001"],
-    # the batch fails at the last horizon, so run_sweep reruns the tail run by run: exit 3
+    # the scalar tail fails, so run_sweep reruns its runs as a batch from the hand-off
+    # state, which fails at its own first failing step: exit 3
     "sweep-tail-fails": ["sweep", "--k", "2", "--dt", "20"],
     "fit-tn-events": [*_FIT, "--state", "tn", "--events", os.path.join(DATA, "events_tn.csv")],
     "fit-kl": [*_FIT, "--state", "kl"],

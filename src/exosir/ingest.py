@@ -86,12 +86,12 @@ def _rows(stream, where: str, required: tuple[str, ...], empty_ok: bool = False)
     """(row number, [field of each required column]) per data row, the header being row 1.
 
     Required columns are matched ignoring case and surrounding spaces, and extra
-    columns are ignored; a required name no header column or more than one
-    matches is a schema error, since no column can be preferred. An empty input
-    has no header row, a schema error unless empty_ok. Blank lines number no
-    row, and a short row reads its missing fields as "". A row the csv module
-    cannot read (an oversized field, a bare carriage return in an unquoted
-    field) is a schema error naming the row.
+    columns are ignored. A required name that no header column matches is a
+    schema error, and so is one that more than one matches, since no column can
+    be preferred. An empty input has no header row, a schema error unless
+    empty_ok. Blank lines number no row, and a short row reads its missing
+    fields as "". A row the csv module cannot read (an oversized field, a bare
+    carriage return in an unquoted field) is a schema error naming the row.
     """
     reader = csv.reader(stream)
     row_number = 0
