@@ -81,6 +81,25 @@ RUNS = {
     # the scalar tail fails, so run_sweep reruns its runs as a batch from the hand-off
     # state, which fails at its own first failing step: exit 3
     "sweep-tail-fails": ["sweep", "--k", "2", "--dt", "20"],
+    # the smallest grid: df 4 takes _log_gamma_ratio's math.gamma branch and _tail's lam < 0
+    "sweep-k2": ["sweep", "--k", "2"],
+    # a scalar-tail run whose peak lies before a checkpoint leaves at that checkpoint
+    "sweep-k3-dt0.5": ["sweep", "--k", "3", "--dt", "0.5"],
+    # a value out of range on the command line: exit 1 before any work
+    "simulate-steps-0": ["simulate", "--steps", "0"],
+    "simulate-dt-0": ["simulate", "--dt", "0"],
+    "simulate-gamma-neg": ["simulate", "--gamma", "-1"],
+    "simulate-nan-rate": ["simulate", "--beta-e", "nan"],
+    "simulate-ie0-2": ["simulate", "--ie0", "2"],
+    "simulate-huge": ["simulate", "--steps", "2000000000000000000"],
+    "network-beta-x-1.5": ["network", "--beta-x", "1.5"],
+    "network-m-0": ["network", "--m", "0"],
+    "network-n-1": ["network", "--n", "1"],
+    "network-ticks-0": ["network", "--max-ticks", "0"],
+    "network-reps-0": ["network", "--reps", "0"],
+    "network-seed-neg": ["network", "--seed", "-1"],
+    "sweep-k1": ["sweep", "--k", "1"],
+    "sweep-seed-neg": ["sweep", "--seed", "-1"],
     "fit-tn-events": [*_FIT, "--state", "tn", "--events", os.path.join(DATA, "events_tn.csv")],
     "fit-kl": [*_FIT, "--state", "kl"],
     "fit-rj": [*_FIT, "--state", "rj"],
@@ -138,6 +157,28 @@ EDITED_FITS = {
     # an event header the csv module cannot read: exit 2, naming row 1
     "fit-tn-long-header": ("tn", {"events_tn.csv": [(r"^date,count$",
                                                     f"date,count,{_LONG_FIELD}")]}),
+    # no Kerala case imported: beta_x is fixed at 0, with a warning
+    "fit-kl-local": ("kl", {"raw_cases.csv": [(r"^(.*,Kerala),Imported$", r"\1,Local")]}),
+    # no endogenous case on the first day: a warning
+    "fit-kl-first-zero": ("kl", {"states_daily.csv": [(r"^(2020-01-30,Confirmed),4,",
+                                                      r"\1,0,")]}),
+    # a population too small for the counts: ScaleError, exit 2
+    "fit-kl-pop-100": ("kl", {"populations.json": [(r'"kl": \d+', '"kl": 100')]}),
+    # one run per load_populations error: exit 2
+    "fit-kl-pop-true": ("kl", {"populations.json": [(r"(?s).+", "true")]}),
+    "fit-kl-pop-zero": ("kl", {"populations.json": [(r'"kl": \d+', '"kl": 0')]}),
+    "fit-kl-pop-repeat": ("kl", {"populations.json": [(r'"tn": \d+', '\\g<0>,\n  "KL": 1')]}),
+    "fit-kl-pop-list": ("kl", {"populations.json": [(r"(?s).+", "[]")]}),
+    "fit-kl-pop-broken": ("kl", {"populations.json": [(r"(?s).+", "{")]}),
+    # header-only daily and raw files: no data rows, exit 2
+    "fit-kl-no-rows": ("kl", {"states_daily.csv": [(r"(?s)\n.+", "\n")],
+                              "raw_cases.csv": [(r"(?s)\n.+", "\n")]}),
+    # two days of daily rows and no raw rows: too short a series to fit
+    "fit-kl-two-days": ("kl", {"states_daily.csv": [(r"(?s)^2020-02-01,.+", "")],
+                               "raw_cases.csv": [(r"(?s)\n.+", "\n")]}),
+    # an events file and a raw file that begin with a blank line
+    "fit-tn-blank-event": ("tn", {"events_tn.csv": [(r"\A", "\n")]}),
+    "fit-kl-blank-raw": ("kl", {"raw_cases.csv": [(r"\A", "\n")]}),
 }
 
 
