@@ -82,16 +82,20 @@ def parse_date(text: str) -> dt.date:
         raise ValueError(f"unparseable date {text!r}") from None
 
 
-def _rows(stream, where: str, required: tuple[str, ...], empty_ok: bool = False):
-    """(row number, [field of each required column]) per data row, the header being row 1.
+def _rows(stream, where: str, required: tuple[str, ...], report: IngestReport,
+          empty_ok: bool = False):
+    """(row number, date, [field of each other required column]) per data row.
 
-    Required columns are matched ignoring case and surrounding spaces, and extra
-    columns are ignored. A required name that no header column matches is a
-    schema error, and so is one that more than one matches, since no column can
-    be preferred. An empty input has no header row, a schema error unless
-    empty_ok. Blank lines number no row, and a short row reads its missing
-    fields as "". A row the csv module cannot read (an oversized field, a bare
-    carriage return in an unquoted field) is a schema error naming the row.
+    The header is row 1. Required columns are matched ignoring case and
+    surrounding spaces, and extra columns are ignored. A required name that no
+    header column matches is a schema error, and so is one that more than one
+    matches, since no column can be preferred. An empty input has no header
+    row, a schema error unless empty_ok. Blank lines number no row, and a short
+    row reads its missing fields as "". The first required column is the row's
+    date: each distinct text is read once per input, and a row whose date
+    cannot be read goes to report as rejected. A row the csv module cannot read
+    (an oversized field, a bare carriage return in an unquoted field) is a
+    schema error naming the row.
     """
     reader = csv.reader(stream)
     row_number = 0
@@ -110,10 +114,17 @@ def _rows(stream, where: str, required: tuple[str, ...], empty_ok: bool = False)
             if len(found) > 1:
                 raise SchemaError(f"{where}: column {want!r} appears more than once")
             columns.append(found[0])
-        for row in reader:
-            if row:
-                row_number += 1
-                yield row_number, [row[i] if i < len(row) else "" for i in columns]
+        date_column, *columns = columns
+        # an unparseable text is not cached, and every row that carries it is rejected
+        parse = functools.lru_cache(maxsize=None)(parse_date)
+        for row in filter(None, reader):
+            row_number += 1
+            try:
+                date = parse(row[date_column] if date_column < len(row) else "")
+            except ValueError as exc:
+                report.reject(row_number, str(exc))
+                continue
+            yield row_number, date, [row[i] if i < len(row) else "" for i in columns]
     except csv.Error as exc:
         raise SchemaError(f"{where} row {row_number + 1}: {exc}") from None
 
@@ -130,16 +141,9 @@ def parse_raw_cases(stream, state: str) -> tuple[dict[dt.date, int], IngestRepor
     names = (state, STATE_NAMES.get(state, state).lower())
     report = IngestReport()
     imported: dict[dt.date, int] = {}
-    # raw-case dates repeat, one row per patient, so each distinct text is read once;
-    # an unparseable one is not cached, and every row that carries it is rejected
-    parse = functools.lru_cache(maxsize=None)(parse_date)
-    for row_number, (date, detected, transmission) in _rows(
-            stream, "raw cases", ("DateAnnounced", "DetectedState", "TypeOfTransmission")):
-        try:
-            date = parse(date.strip())
-        except ValueError as exc:
-            report.reject(row_number, str(exc))
-            continue
+    for row_number, date, (detected, transmission) in _rows(
+            stream, "raw cases", ("DateAnnounced", "DetectedState", "TypeOfTransmission"),
+            report):
         detected = detected.strip().lower()
         if not detected:
             report.reject(row_number, "empty DetectedState")
@@ -161,14 +165,9 @@ def parse_states_daily(stream, state: str
     state = state.lower()
     report = IngestReport()
     table: dict[dt.date, dict[str, int]] = {}
-    for row_number, (date, status, count) in _rows(stream, "states daily",
-                                                   ("date", "status", state)):
+    for row_number, date, (status, count) in _rows(stream, "states daily",
+                                                   ("date", "status", state), report):
         status = status.strip().lower()
-        try:
-            date = parse_date(date)
-        except ValueError as exc:
-            report.reject(row_number, str(exc))
-            continue
         if status not in STATUSES:
             report.reject(row_number, f"unknown status {status!r}")
             continue
@@ -195,10 +194,9 @@ def parse_event_counts(stream) -> tuple[dict[dt.date, int], IngestReport]:
     """Per-day event-linked counts from a date,count file; empty input is valid."""
     report = IngestReport()
     events: dict[dt.date, int] = {}
-    for row_number, (date, count) in _rows(stream, "event counts", ("date", "count"),
-                                           empty_ok=True):
+    for row_number, date, (count,) in _rows(stream, "event counts", ("date", "count"),
+                                            report, empty_ok=True):
         try:
-            date = parse_date(date)
             count = int(count.strip())
         except ValueError as exc:
             report.reject(row_number, str(exc))

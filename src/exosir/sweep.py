@@ -218,13 +218,14 @@ def _batch(state, triples, eligible, peak, ptick, dt: float, last_tick: int, sto
     return tick, checkpoint, active, rk4.y, run_peak, run_tick
 
 
-def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: int) -> list:
+def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: int) -> None:
     """Finish each run of a _batch state on Python floats, one run after another.
 
     Every run takes the batch's steps, peak rule, settle ticks and checkpoints, and
     _float_steps decides each step as _check_batch does for that run. Stores the
-    peaks and ticks and returns the runs still rising on last_tick; raises the
-    first IntegrationError of a run, which need not be the batch's first.
+    peaks and ticks, then raises the HorizonError of the runs still rising on
+    last_tick, as _batch does; the first IntegrationError of a run is raised at
+    once, and need not be the batch's first.
     """
     start, first_checkpoint, active, y, run_peaks, run_ticks = state
     rising = []
@@ -248,7 +249,8 @@ def _scalar_tail(state, triples, eligible, peak, ptick, dt: float, last_tick: in
                   and _settled_float(run_peak, s, ie, ix, rates, last_tick)):
                 break
         peak[run], ptick[run] = run_peak, run_tick
-    return rising
+    if rising:
+        raise _horizon_error(triples, rising, last_tick)
 
 
 def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
@@ -290,15 +292,11 @@ def run_sweep(triples: np.ndarray, dt: float = DEFAULT_DT,
         args = (triples, eligible, peak, ptick, dt, last_tick)
         state = _batch(state, *args, SCALAR_TAIL_RUNS)
         try:
-            rising = _scalar_tail(state, *args)
+            _scalar_tail(state, *args)
         except IntegrationError:
-            rising = None
-        if rising is None:
             # the batch decides each run's steps alike, so it fails too, at the
             # batch's first failing step
             _batch(state, *args, 0)
-        elif rising:
-            raise _horizon_error(triples, rising, last_tick)
     return peak, ptick
 
 
