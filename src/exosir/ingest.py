@@ -86,23 +86,24 @@ def _rows(stream, where: str, required: tuple[str, ...], report: IngestReport,
           empty_ok: bool = False):
     """(row number, date, [field of each other required column]) per data row.
 
-    The header is row 1. Required columns are matched ignoring case and
-    surrounding spaces, and extra columns are ignored. A required name that no
-    header column matches is a schema error, and so is one that more than one
-    matches, since no column can be preferred. An empty input has no header
-    row, a schema error unless empty_ok. Blank lines number no row, and a short
-    row reads its missing fields as "". The first required column is the row's
+    The header is the first row that is not blank, and is row 1. Required
+    columns are matched ignoring case and surrounding spaces, and extra columns
+    are ignored. A required name that no header column matches is a schema
+    error, and so is one that more than one matches, since no column can be
+    preferred. An input with no header row (empty, or blank lines only) is a
+    schema error unless empty_ok. Blank lines number no row, and a short row
+    reads its missing fields as "". The first required column is the row's
     date: each distinct text is read once per input, and a row whose date
     cannot be read goes to report as rejected. A row the csv module cannot read
     (an oversized field, a bare carriage return in an unquoted field) is a
     schema error naming the row.
     """
-    reader = csv.reader(stream)
+    reader = filter(None, csv.reader(stream))
     row_number = 0
     try:
         header = next(reader, None)
         row_number = 1
-        if not header:
+        if header is None:
             if empty_ok:
                 return
             raise SchemaError(f"{where}: empty input, no header row")
@@ -117,7 +118,7 @@ def _rows(stream, where: str, required: tuple[str, ...], report: IngestReport,
         date_column, *columns = columns
         # an unparseable text is not cached, and every row that carries it is rejected
         parse = functools.lru_cache(maxsize=None)(parse_date)
-        for row in filter(None, reader):
+        for row in reader:
             row_number += 1
             try:
                 date = parse(row[date_column] if date_column < len(row) else "")

@@ -353,6 +353,31 @@ def test_blank_lines_number_no_row_and_short_rows_read_empty(name):
     assert report.rejects == rejects
 
 
+# per parser: a text that begins with blank lines, and the table it parses to. The header
+# is the first row that is not blank, and is row 1, so the bad date two rows below it is
+# row 3; blank lines alone are an empty input.
+_BLANK_FIRST = {
+    "raw cases": ("\nDateAnnounced,DetectedState,TypeOfTransmission\n2020-03-01,Kerala,Imported\n"
+                  "x,Kerala,Imported\n", {dt.date(2020, 3, 1): 1}),
+    "states daily": ("\n\ndate,status,kl\n2020-03-01,confirmed,5\nx,recovered,1\n",
+                     {dt.date(2020, 3, 1): {"confirmed": 5, "recovered": 0, "deceased": 0}}),
+    "event counts": ("\r\ndate,count\r\n2020-03-01,4\r\nx,1\r\n", {dt.date(2020, 3, 1): 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLANK_FIRST))
+def test_header_is_the_first_row_that_is_not_blank(name):
+    text, table = _BLANK_FIRST[name]
+    got, report = _PARSERS[name](io.StringIO(text, newline=""))
+    assert got == table
+    assert report.rejects == [(3, "unparseable date 'x'")]
+    if name == "event counts":
+        assert _PARSERS[name](io.StringIO("\n\n"))[0] == {}
+    else:
+        with pytest.raises(SchemaError, match=f"^{name}: empty input, no header row$"):
+            _PARSERS[name](io.StringIO("\n\n"))
+
+
 # the last entry is a well-formed header that none of the parsers expects
 _HEADERS = ("", "DateAnnounced,DetectedState,TypeOfTransmission\n", "date,status,kl\n",
             "date,count\n",
