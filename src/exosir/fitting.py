@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HorizonError, IntegrationError, ParameterError, ScaleError,
+from .errors import (HorizonError, IntegrationError, ScaleError, SchemaError,
                      UnidentifiableParameterError)
 from .ingest import ObservedSeries
 from .model import CompartmentState, ModelParams, PeakStats, Trajectory, integrate, peak_of
@@ -111,11 +111,12 @@ def estimate_params(norm: NormalizedSeries) -> FittedParams:
     gamma comes first (dr = gamma*i), then beta_x (di_x + gamma*i_x =
     beta_x*s) and beta_e (di_e + gamma*i_e = beta_e*s*i) reuse it.
 
-    A series with no exogenous cases fixes beta_x = 0; one that has some but
-    whose beta_x signal vanishes raises UnidentifiableParameterError.
+    A series shorter than 3 days is a data problem, SchemaError. A series with
+    no exogenous cases fixes beta_x = 0; one that has some but whose beta_x
+    signal vanishes raises UnidentifiableParameterError.
     """
     if len(norm) < 3:
-        raise ParameterError(f"need at least 3 days to estimate rates, got {len(norm)}")
+        raise SchemaError(f"need at least 3 days to estimate rates, got {len(norm)}")
     k = np.arange(1, len(norm))
     i = norm.i
     i_mid = 0.5 * (i[k] + i[k - 1])

@@ -10,7 +10,7 @@ import pytest
 
 from exosir import fitting
 from exosir.errors import (HorizonError, IntegrationError, ParameterError, ScaleError,
-                           UnidentifiableParameterError)
+                           SchemaError, UnidentifiableParameterError)
 from exosir.fitting import (FittedParams, NormalizedSeries, counterfactual_runs,
                             estimate_params, fold_out_exogenous, normalize)
 from exosir.ingest import ObservedSeries
@@ -153,7 +153,7 @@ def test_estimate_unidentifiable_gamma():
 
 
 def test_estimate_needs_three_days():
-    with pytest.raises(ParameterError, match="3 days"):
+    with pytest.raises(SchemaError, match="3 days"):
         estimate_params(normalize(_observed([1, 2])))
 
 
