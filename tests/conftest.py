@@ -3,8 +3,14 @@ Exo-SIR right-hand side and RK4 step, and the rate-level boost inequality, all
 independent of the library under test."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
+
+# pytest imports exosir from src/ (pyproject's pythonpath); so do the Pythons a test starts
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH"))))
 
 
 def _gauss_jordan_inverse(matrix):
