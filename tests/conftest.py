@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-# pytest imports exosir from src/ (pyproject's pythonpath); so do the Pythons a test starts
+# pytest imports exosir from src/ (pyproject's pythonpath), and so do the processes a test starts
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
     str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH"))))
 
